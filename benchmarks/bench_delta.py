@@ -1,8 +1,8 @@
 """Incremental re-solve benchmark: delta-aware invalidation vs from-scratch.
 
 One warm serving stack — problem caches, a committed
-:class:`~repro.core.engine.BatchedDMSession`, two live ``dm-mp`` pools
-(pipe + shm) and a memory-mapped rw-store — absorbs ~1% edge churn on the
+:class:`~repro.core.engine.BatchedDMSession`, a live ``dm-mp`` pool and
+a memory-mapped rw-store — absorbs ~1% edge churn on the
 target graph (mixed weight updates, edge insertions and removals, plus an
 opinion flip) through ``FJVoteProblem.apply_delta`` and the per-layer
 ``apply_delta`` forwards.  The from-scratch reference rebuilds every layer
@@ -19,11 +19,11 @@ Acceptance (the issue's floors, asserted here):
   individually inside their blocks), so blocks-regenerated drops >= 5x
   versus the cold store.  The per-walk ratio (walks generated from
   scratch / walks patched) must also clear 5x.
-* The pipe-transport delta broadcast ships >= 5x fewer bytes than the
+* The ``dm-mp`` delta broadcast ships >= 5x fewer bytes than the
   initial full problem ship (only the churned columns travel).
 * Post-delta selections are byte-identical to the from-scratch reference
-  on every engine: ``dm``, ``dm-mp:pipe``, ``dm-mp:shm`` (exact engines
-  agree with each other), and ``rw-store:mmap`` (patched blocks are
+  on every engine: ``dm``, ``dm-mp`` (exact engines agree with each
+  other), and ``rw-store:mmap`` (patched blocks are
   bitwise equal to cold-regenerated ones, so the stochastic greedy
   reproduces exactly).
 * The pre-delta committed session survives via the sparse trajectory
@@ -143,15 +143,9 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
     _store_greedy(problem, store)
     assert store.stats.blocks_generated > 0
 
-    mp_pipe = MultiprocessDMEngine(
-        problem, workers=WORKERS, min_fanout=1, transport="pipe"
-    )
-    mp_shm = MultiprocessDMEngine(
-        problem, workers=WORKERS, min_fanout=1, transport="shm"
-    )
+    mp_pipe = MultiprocessDMEngine(problem, workers=WORKERS, min_fanout=1)
     try:
         mp_pipe.ping()  # pool start + the full problem ship
-        mp_shm.ping()
         # A cold pipe pool ships the whole pickled problem to every worker
         # inside the spawn args (it never crosses the message pipe, so
         # ipc_bytes cannot see it); size it the same way the spawn does.
@@ -176,7 +170,6 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
             pipe_before = mp_pipe.stats.ipc_bytes
             mp_pipe.apply_delta(report)
             delta_ship_bytes = float(mp_pipe.stats.ipc_bytes - pipe_before)
-            mp_shm.apply_delta(report)
             store.apply_delta(report)
         delta_blocks = float(store.stats.blocks_generated - blocks_before)
         trajectories_patched = float(
@@ -186,12 +179,10 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
         # --- post-delta selections on the warm stack -------------------
         delta_dm = greedy_engine(dm_engine, K, lazy=False)
         delta_pipe = greedy_engine(mp_pipe, K, lazy=False)
-        delta_shm = greedy_engine(mp_shm, K, lazy=False)
         delta_store = _store_greedy(problem, store)
         delta_blocks = float(store.stats.blocks_generated - blocks_before)
     finally:
         mp_pipe.close()
-        mp_shm.close()
 
     # --- the from-scratch reference over the same post-delta state -----
     with Timer() as scratch_timer:
@@ -213,12 +204,8 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
 
     # Byte-identical selections: every engine's delta path must reproduce
     # its from-scratch run exactly (the exact engines also agree with
-    # each other, so one reference covers dm and both dm-mp transports).
-    for name, result in (
-        ("dm", delta_dm),
-        ("dm-mp:pipe", delta_pipe),
-        ("dm-mp:shm", delta_shm),
-    ):
+    # each other, so one reference covers dm and dm-mp).
+    for name, result in (("dm", delta_dm), ("dm-mp", delta_pipe)):
         assert result.seeds.tolist() == scratch_dm.seeds.tolist(), (
             f"{name} delta-path seeds diverged from the from-scratch run"
         )

@@ -1,7 +1,7 @@
 """Resilience benchmark: one fixed chaos schedule, identical answers.
 
 One deterministic :class:`~repro.core.faults.FaultPlan` per layer — a
-worker SIGKILLed mid-selection (``dm-mp`` over pipe *and* shm), a tcp
+worker SIGKILLed mid-selection (a ``dm-mp`` pool), a tcp
 host severed mid-round (re-shard + backoff rejoin), a walk-store block
 corrupted on its first load (quarantine + in-place repair), and a burst
 of serve admissions against a bounded queue with a planned drop — runs
@@ -121,26 +121,16 @@ def _chaos_round() -> dict[str, float]:
     expected = reference.seeds.tolist()
     counters: dict[str, float] = {"selection_mismatches": 0}
 
-    # dm-mp pipe + shm: planned SIGKILL mid-selection, byte-identical.
-    for transport in ("pipe", "shm"):
-        plan = FaultPlan(seed=BENCH_SEED, faults=[KILL])
-        with faults.injected(plan):
-            with make_engine(
-                f"dm-mp:{WORKERS}:{transport}" if transport != "pipe"
-                else f"dm-mp:{WORKERS}",
-                problem,
-                min_fanout=1,
-            ) as engine:
-                result = greedy_engine(engine, K, lazy=False)
-                counters[f"workers_lost_{transport}"] = int(
-                    engine.stats.workers_lost
-                )
-                counters[f"workers_respawned_{transport}"] = int(
-                    engine.stats.workers_respawned
-                )
-        assert plan.fired, f"{transport}: the planned kill never fired"
-        if result.seeds.tolist() != expected:
-            counters["selection_mismatches"] += 1
+    # dm-mp: planned SIGKILL mid-selection, byte-identical.
+    plan = FaultPlan(seed=BENCH_SEED, faults=[KILL])
+    with faults.injected(plan):
+        with make_engine(f"dm-mp:{WORKERS}", problem, min_fanout=1) as engine:
+            result = greedy_engine(engine, K, lazy=False)
+            counters["workers_lost"] = int(engine.stats.workers_lost)
+            counters["workers_respawned"] = int(engine.stats.workers_respawned)
+    assert plan.fired, "the planned kill never fired"
+    if result.seeds.tolist() != expected:
+        counters["selection_mismatches"] += 1
 
     # dm-mp tcp: planned sever, re-shard to the survivor, backoff rejoin.
     import time
@@ -198,11 +188,9 @@ def _chaos_round() -> dict[str, float]:
 
 def test_resilience_chaos_schedule(benchmark, save_result, save_bench_json):
     row = run_once(benchmark, _chaos_round)
-    # The whole point: four faulted selections, zero divergence.
+    # The whole point: three faulted selections, zero divergence.
     assert row["selection_mismatches"] == 0
-    assert row["workers_lost_pipe"] == 1 and row["workers_lost_shm"] == 1
-    assert row["workers_respawned_pipe"] == 1
-    assert row["workers_respawned_shm"] == 1
+    assert row["workers_lost"] == 1 and row["workers_respawned"] == 1
     assert row["hosts_lost"] == 1 and row["hosts_rejoined"] == 1
     assert row["chunks_resharded"] >= 1
     assert row["blocks_quarantined"] == 1 and row["blocks_repaired"] == 1
@@ -213,12 +201,8 @@ def test_resilience_chaos_schedule(benchmark, save_result, save_bench_json):
     assert row["answered"] == QUEUE_CAP
 
     series = {
-        "workers lost (pipe+shm)": [
-            row["workers_lost_pipe"] + row["workers_lost_shm"]
-        ],
-        "workers respawned": [
-            row["workers_respawned_pipe"] + row["workers_respawned_shm"]
-        ],
+        "workers lost": [row["workers_lost"]],
+        "workers respawned": [row["workers_respawned"]],
         "hosts lost / rejoined": [
             f"{row['hosts_lost']} / {row['hosts_rejoined']}"
         ],
@@ -238,16 +222,11 @@ def test_resilience_chaos_schedule(benchmark, save_result, save_bench_json):
                 "higher_is_better": False,
             },
             "workers_lost_total": {
-                "value": float(
-                    row["workers_lost_pipe"] + row["workers_lost_shm"]
-                ),
+                "value": float(row["workers_lost"]),
                 "higher_is_better": False,
             },
             "workers_respawned_total": {
-                "value": float(
-                    row["workers_respawned_pipe"]
-                    + row["workers_respawned_shm"]
-                ),
+                "value": float(row["workers_respawned"]),
                 "higher_is_better": True,
             },
             "hosts_rejoined": {

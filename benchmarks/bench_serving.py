@@ -7,8 +7,8 @@ is executed twice through :class:`~repro.serve.batcher.CoalescingBatcher`
 on fresh hubs: serially (one request per batch, the no-coalescing
 reference) and as one coalesced batch.  Responses must be **byte
 identical** (the encoded protocol lines), across the per-set ``dm``
-backend, the vectorized ``dm-batched``, and ``dm-mp`` over both
-transports.  The gated metrics are the deterministic counters:
+backend, the vectorized ``dm-batched``, and the ``dm-mp`` worker pool.
+The gated metrics are the deterministic counters:
 ``round_reduction_x`` (serial engine rounds / coalesced engine rounds —
 the acceptance floor is >= 2x with 8 clients), ``requests_per_round``,
 and ``evolution_sets_saved`` (candidate-union sharing).
@@ -50,7 +50,7 @@ HORIZON = 6 if TINY else 10
 CLIENTS = 8
 #: Byte-identity is asserted on every backend; the gated counters come
 #: from ``dm-batched`` (identical on all of them by construction).
-SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
+SPECS = ("dm", "dm-batched", "dm-mp:2")
 MIN_ROUND_REDUCTION = 2.0
 SOCKET_WORKERS = [1, 2] if TINY else [1, 2, 4]
 SOCKET_REQUESTS = 32 if TINY else 128
@@ -218,7 +218,7 @@ def _spawn_server(workers: int):
         sys.executable, "-m", "repro", "serve",
         "--dataset", "yelp", "--users", str(N_USERS),
         "--horizon", str(HORIZON), "--score", "cumulative",
-        "--engine", f"dm-mp:{workers}:shm", "--seed", str(BENCH_SEED),
+        "--engine", f"dm-mp:{workers}", "--seed", str(BENCH_SEED),
     ]
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
@@ -277,7 +277,7 @@ def test_socket_latency(save_result):
                 proc.communicate(timeout=30)
     save_result(
         "serving_latency",
-        f"{SOCKET_REQUESTS} requests over dm-mp:<W>:shm "
+        f"{SOCKET_REQUESTS} requests over dm-mp:<W> "
         f"(n={N_USERS}, t={HORIZON}; wall-clock, not gated):\n"
         + "\n".join(rows),
     )

@@ -28,7 +28,7 @@ from repro.voting.scores import CumulativeScore
 async def main() -> None:
     dataset = yelp_like(n=200, rng=11, horizon=8)
     problem = dataset.problem(CumulativeScore())
-    hub = EngineHub(problem, ["dm-batched", "dm-mp:2:shm"], rng=11)
+    hub = EngineHub(problem, ["dm-batched", "dm-mp:2"], rng=11)
     server = QueryServer(hub)
     host, port = await server.start()
     print(f"serving {dataset.name} (n={problem.n}) on {host}:{port}\n")
@@ -78,17 +78,17 @@ async def main() -> None:
             f"{serve['requests_coalesced']} coalesced requests; "
             f"{serve['evolution_sets_saved']} evolved sets saved)"
         )
-        pool = stats["engines"]["dm-mp:2:shm"]["pool"]
+        pool = stats["engines"]["dm-mp:2"]["pool"]
         print(
             f"warm dm-mp pool: {pool['workers']} workers over "
             f"{pool['transport']}, {pool['rounds']} rounds, "
-            f"{len(pool['shm_segments'])} shm segments mapped"
+            f"{pool['busy_s']:.3f}s busy"
         )
     finally:
         for client in clients:
             await client.close()
         await server.aclose()
-    print("\nserver closed; worker pools stopped, shm segments unlinked")
+    print("\nserver closed; worker pools stopped")
 
 
 if __name__ == "__main__":

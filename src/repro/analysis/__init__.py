@@ -1,9 +1,9 @@
 """reprolint: AST-based static analysis of this repo's own invariants.
 
 The headline guarantees — byte-identical selections across every exact
-backend, deterministic serving responses, zero leaked shm segments after
+backend, deterministic serving responses, no worker pool outliving a
 SIGKILL — rest on hand-maintained source invariants (seeded RNG only,
-``__getstate__`` cache-dropping, paired shm teardown, sorted-key wire
+``__getstate__`` cache-dropping, paired resource teardown, sorted-key wire
 JSON, complete worker-op dispatch, protocol-compatible engine
 overrides).  This package machine-checks them: ``repro lint`` runs the
 checkers in :mod:`repro.analysis.checkers` over ``src/repro`` and fails

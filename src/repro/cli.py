@@ -22,8 +22,7 @@ spec                         exact  backend
 ===========================  =====  ================================================
 ``dm``                       yes    legacy per-set DM, one FJ evolution per seed set
 ``dm-batched``               yes    vectorized DM, all candidates at once (default)
-``dm-mp[:W][:shm]``          yes    ``dm-batched`` over ``W`` worker processes;
-                                    ``:shm`` = zero-copy shared-memory transport
+``dm-mp[:W]``                yes    ``dm-batched`` over ``W`` worker processes
 ``dm-mp:tcp=H:P,...``        yes    ``dm-batched`` sharded across remote
                                     ``repro net-worker`` hosts over TCP
 ``rw``                       no     random-walk estimator (Algorithm 4)
@@ -38,9 +37,7 @@ multi-core hosts where candidate chunks evolve in parallel memory domains.
 sample IMM-style until the requested (ε, δ) bound holds, reusing every
 walk across greedy rounds, budgets and win-min probes.
 
-Data-plane suffixes: ``dm-mp:<W>:shm`` maps problem matrices, score rows
-and commit broadcasts through shared memory so only array descriptors
-cross the worker pipes, ``dm-mp:tcp=<host:port,...>`` shards candidate
+Data-plane suffixes: ``dm-mp:tcp=<host:port,...>`` shards candidate
 chunks across ``repro net-worker`` hosts (one chunk per host, selections
 byte-identical at every host count, lost hosts' chunks re-sharded to the
 survivors — see the README's Multi-host section), and
@@ -98,8 +95,8 @@ warm engine sessions  trajectory patched (small   trajectory patched /
 walk-store blocks     walks crossing a touched    **all blocks survive**
                       node re-drawn in place      (walks never read B⁰);
                                                   only masters drop
-dm-mp worker pools    touched columns patched     opinion rows patched in
-                      in place / re-shared        shared memory
+dm-mp worker pools    touched columns shipped     changed opinion rows
+                      and spliced in place        shipped and patched
 ====================  ==========================  =========================
 
 Serving (``serve`` / ``serve-load``)
@@ -115,7 +112,7 @@ and every response carries its ``graph_version``/``opinion_version``.
 The server prints one ``serving on HOST:PORT`` line when ready (port 0
 picks a free port), then the warm-store ``store:`` counters, and shuts
 down cleanly on SIGTERM/SIGINT — worker pools stop through
-``stop_worker_pool`` and shm segments are unlinked.  ``serve-load``
+``stop_worker_pool``.  ``serve-load``
 fires a deterministic concurrent workload at a running server and
 reports p50/p99 latency, QPS and the server's coalescing counters.
 """
@@ -167,7 +164,7 @@ class _SpecSafeFormatter(argparse.HelpFormatter):
     """Help formatter that never splits an engine spec across lines.
 
     The default formatter wraps on hyphens, which would render
-    ``dm-mp:<workers>[:shm]`` as ``dm- mp:...`` depending on where the
+    ``dm-mp:<workers>`` as ``dm- mp:...`` depending on where the
     registry-derived help happens to wrap.
     """
 

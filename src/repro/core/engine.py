@@ -55,11 +55,8 @@ Backends
     worker processes — candidate chunks evolve concurrently, session
     commits are broadcast so workers fold the committed trajectory
     locally, and selections stay byte-identical to the single-process
-    engine for every worker count.  The ``dm-mp:<W>:shm`` suffix swaps the
-    pickle-per-message pipe transport for a shared-memory data plane
-    (:mod:`repro.core.shm`): problem matrices, score rows and commit
-    broadcasts are mapped once and only array descriptors cross the pipe
-    (``EngineStats.ipc_bytes`` measures the difference).
+    engine for every worker count.  Messages are pickled over pipes and
+    ``EngineStats.ipc_bytes`` counts every byte they move.
 :class:`WalkEngine`
     Routes the §V/§VI walk estimators (random-walk and sketch) through the
     same interface via :class:`~repro.core.random_walk.WalkGreedyOptimizer`.
@@ -76,18 +73,13 @@ Backends
 
 Data plane
 ----------
-Both parallel backends separate *control* (tiny pipe messages) from
-*data* (bulk arrays).  ``dm-mp``'s shm arena pays one mapping at pool
-start and wins on every subsequent round — worth it whenever more than a
-handful of rounds run, and essential under ``forkserver``/``spawn`` where
-the problem would otherwise be pickled per worker.  ``rw-store``'s mmap
-shards pay one ``np.save`` per generated block and win on every re-open —
-worth it for sweeps, win-min searches and any workflow that restarts.
-Lifecycle caveats: shm segments are unlinked by ``close()`` (guarded by
-``weakref.finalize``, so garbage collection and interpreter exit also
-clean up after crashes); mmap stores are plain directories — delete them
-to reclaim disk, and keep the store seed fixed so a re-open finds the
-same deterministic block identities.
+``dm-mp`` ships the problem to each worker once, at pool start (free
+under ``fork``), and per round moves only seed-id chunks out and score
+vectors back over pipes.  ``rw-store``'s mmap shards pay one ``np.save``
+per generated block and win on every re-open — worth it for sweeps,
+win-min searches and any workflow that restarts.  mmap stores are plain
+directories: delete them to reclaim disk, and keep the store seed fixed
+so a re-open finds the same deterministic block identities.
 
 Adding a backend
 ----------------
@@ -167,9 +159,7 @@ class EngineStats:
     trajectories_patched: int = 0
     #: Exact serialized bytes moved through worker pipes, both directions
     #: (the multiprocess backends frame their own messages, so this is a
-    #: measurement, not an estimate).  The zero-copy shm transport
-    #: (``dm-mp:<W>:shm``) shrinks it to descriptor tuples —
-    #: ``benchmarks/bench_data_plane.py`` gates the reduction.
+    #: measurement, not an estimate).
     ipc_bytes: int = 0
     #: Multi-host (``dm-mp:tcp=...``) degradation accounting: hosts the
     #: coordinator dropped from its pool after a connection failure, and
@@ -508,7 +498,7 @@ class ObjectiveEngine(ABC):
 
         In-process engines report an empty, never-started pool; the
         multiprocess backend overrides this with live round / busy-time
-        accounting and the shm segment names it currently owns (see
+        accounting (see
         :meth:`~repro.core.engine_mp.MultiprocessDMEngine.pool_stats`).
         """
         return {
@@ -519,7 +509,6 @@ class ObjectiveEngine(ABC):
             "rounds": 0,
             "busy_s": 0.0,
             "idle_s": 0.0,
-            "shm_segments": [],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -1775,9 +1764,8 @@ ENGINE_HELP = {
     "dm-batched": "vectorized exact DM, the default",
     "dm-mp": (
         "exact DM fanned out over worker processes or remote hosts "
-        "(dm-mp:<workers>[:pipe|:shm] — shm = zero-copy shared-memory "
-        "transport; dm-mp:tcp=<host:port,...> — one chunk shard per "
-        "'repro net-worker' host)"
+        "(dm-mp:<workers>; dm-mp:tcp=<host:port,...> — one chunk shard "
+        "per 'repro net-worker' host)"
     ),
     "rw": "random-walk estimator",
     "sketch": "sketch estimator",
@@ -1788,8 +1776,9 @@ ENGINE_HELP = {
 }
 
 #: ``dm-mp`` transport suffixes spelled as bare segments (``tcp`` needs
-#: its host list, so it only appears in the ``tcp=`` form).
-_SPEC_TRANSPORTS = ("pipe", "shm")
+#: its host list, so it only appears in the ``tcp=`` form).  ``pipe`` is
+#: the default, spelled out.
+_SPEC_TRANSPORTS = ("pipe",)
 
 
 def _spec_error(spec: object) -> ValueError:
@@ -1803,8 +1792,7 @@ def _spec_error(spec: object) -> ValueError:
         f"unknown engine {spec!r}; expected one of {ENGINE_NAMES} "
         "(parameterized forms: 'dm-mp:<workers>', 'rw-store:<shards>', "
         "both >= 1, plus the data-plane suffixes 'dm-mp[:W]:pipe', "
-        "'dm-mp[:W]:shm', 'dm-mp:tcp=<host:port,...>' and "
-        "'rw-store[:S]:mmap=<DIR>')"
+        "'dm-mp:tcp=<host:port,...>' and 'rw-store[:S]:mmap=<DIR>')"
     )
 
 
@@ -1823,8 +1811,8 @@ class EngineSpec:
 
     Fields only apply to the engines that understand them: ``workers``
     and ``transport`` to ``dm-mp`` (``transport`` is ``None`` for the
-    default pipe data plane, ``"shm"`` for shared memory, ``"tcp"`` for
-    the multi-host coordinator — then ``hosts`` carries the
+    default pipe data plane, ``"tcp"`` for the multi-host coordinator —
+    then ``hosts`` carries the
     ``host:port`` targets and ``workers`` is derived, one shard per
     host), ``shards`` and ``store_dir`` to ``rw-store``.  Violations
     raise ``ValueError`` at construction.
@@ -1849,9 +1837,9 @@ class EngineSpec:
                 f"transport {self.transport!r} only applies to dm-mp, "
                 f"not {self.name!r}"
             )
-        if self.transport not in (None, "shm", "tcp"):
+        if self.transport not in (None, "tcp"):
             raise ValueError(
-                f"transport must be one of ('pipe', 'shm', 'tcp'), "
+                f"transport must be one of ('pipe', 'tcp'), "
                 f"got {self.transport!r}"
             )
         if self.workers is not None:
@@ -1915,8 +1903,8 @@ class EngineSpec:
         Accepts every bare name in :data:`ENGINE_NAMES` plus the
         parameterized forms: a positive count first (``dm-mp:<workers>``
         / ``rw-store:<shards>``), then an optional data-plane suffix —
-        ``dm-mp[:W]:pipe`` / ``dm-mp[:W]:shm`` pick the worker-pool
-        transport, ``dm-mp:tcp=<host:port,...>`` the multi-host TCP
+        ``dm-mp[:W]:pipe`` spells out the default worker-pool pipes,
+        ``dm-mp:tcp=<host:port,...>`` the multi-host TCP
         coordinator (the host list runs to the end of the spec, so ports
         keep their colons), and ``rw-store[:S]:mmap=<DIR>`` the
         memory-mapped on-disk store (the directory is taken verbatim to
@@ -1985,16 +1973,14 @@ class EngineSpec:
             parts.append(str(self.workers))
         if self.shards is not None:
             parts.append(str(self.shards))
-        if self.transport == "shm":
-            parts.append("shm")
-        elif self.transport == "tcp":
+        if self.transport == "tcp":
             parts.append("tcp=" + ",".join(self.hosts))
         if self.store_dir is not None:
             parts.append(f"mmap={self.store_dir}")
         return ":".join(parts)
 
     def kwargs(self) -> dict[str, object]:
-        """The factory kwargs this spec pins (the legacy tuple's dict)."""
+        """The factory kwargs this spec pins."""
         out: dict[str, object] = {}
         if self.workers is not None:
             out["workers"] = self.workers
@@ -2047,26 +2033,6 @@ class EngineSpec:
         return self.canonical()
 
 
-def parse_engine_spec(spec: object) -> tuple[str, dict[str, object]]:
-    """Split an engine spec string into ``(registry name, spec kwargs)``.
-
-    .. deprecated:: the ``(name, kwargs)`` tuple is the legacy surface;
-       new code should hold the structured spec itself —
-       ``EngineSpec.parse(spec)`` — and use its ``.canonical()`` /
-       ``.kwargs()`` / ``.build()`` instead of unpacking tuples.  This
-       thin front-end remains so existing callers keep working.
-
-    The accepted grammar and the single ``ValueError`` for malformed
-    specs are documented on :meth:`EngineSpec.parse`.
-    """
-    if isinstance(spec, EngineSpec):
-        return spec.name, spec.kwargs()
-    if not isinstance(spec, str):
-        raise _spec_error(spec)
-    parsed = EngineSpec.parse(spec)
-    return parsed.name, parsed.kwargs()
-
-
 def spec_is_exact_dm(spec: object) -> bool:
     """True when ``spec`` names an exact DM backend (``None`` = default).
 
@@ -2077,15 +2043,12 @@ def spec_is_exact_dm(spec: object) -> bool:
     """
     if spec is None:
         return True
-    if isinstance(spec, EngineSpec):
-        return spec.name in EXACT_DM_NAMES
-    if not isinstance(spec, str):
+    if not isinstance(spec, (str, EngineSpec)):
         return False
     try:
-        name, _ = parse_engine_spec(spec)
+        return EngineSpec.parse(spec).name in EXACT_DM_NAMES
     except ValueError:
         return False
-    return name in EXACT_DM_NAMES
 
 
 def make_engine(

@@ -19,48 +19,23 @@ the ``Process`` arguments.  Each worker builds its own private
 :class:`BatchedDMEngine` from it — per-round messages then carry only seed
 id chunks and score vectors, never matrices.
 
-Transports (the data plane)
----------------------------
-Every message still rides a pipe, but *what* rides it is transport-
-dependent:
-
-``"pipe"`` (default)
-    Arrays are pickled into the message: candidate chunks out, score
-    vectors back.  Zero setup cost, pays the serialization tax per round.
-``"shm"`` (``dm-mp:<W>:shm``)
-    A :class:`~repro.core.shm.ShmArena` maps the data plane once: the
-    problem's CSR matrices and shareable caches are written to shared
-    memory at pool start (workers rebuild the problem from zero-copy
-    views via :meth:`~repro.core.problem.FJVoteProblem.from_shared_arrays`),
-    request arrays land in per-worker slabs, workers write score vectors
-    and dense ``target_opinion_rows`` blocks straight into preallocated
-    reply slabs, and each session commit publishes the parent's committed
-    trajectory through a single shared slab that every worker adopts by
-    one memcpy instead of replaying the extension.  Messages shrink to
-    ``(segment, dtype, shape, offset)`` tuples.
-
-The serialization tax is measured, not guessed:
-:attr:`~repro.core.engine.EngineStats.ipc_bytes` counts every byte the
-parent actually moves through worker pipes (both directions; the engine
-frames messages itself, so the counter is exact and deterministic).
-``benchmarks/bench_data_plane.py`` asserts the shm transport cuts it
->= 5x per greedy round at n=2000 — in practice the reduction is orders of
-magnitude, since shm messages no longer scale with ``n``.  Segment
-lifecycle is guarded three ways (explicit ``close``, ``weakref.finalize``
-on garbage collection, interpreter-exit finalization), so crashed rounds
-cannot leak ``/dev/shm`` segments.
+Every message is pickled and framed by the engine itself
+(``send_bytes`` / ``recv_bytes``): candidate chunks out, score vectors or
+dense rows back.  :attr:`~repro.core.engine.EngineStats.ipc_bytes` counts
+every byte the parent actually moves through worker pipes (both
+directions), so the counter is exact and deterministic.  Per-round
+payloads are small next to the evolution they carry; the heavy state, the
+problem, crosses once (free under ``fork``).
 
 Selection sessions fan out too: :class:`MultiprocessDMSession` keeps the
 parent-side committed trajectory (for values and win-min prefix probes)
 exactly like its base class, and *broadcasts* every ``commit`` to the pool
 so each worker folds the chosen seed into a worker-local committed
-trajectory — by the same one-column extension the parent performs under
-``pipe``, or by adopting the parent's trajectory from the commit slab
-under ``shm``; bitwise the same state either way.  A worker that missed a
-broadcast (e.g. the pool started mid-session) rebuilds the committed
-trajectory lazily from the ``(base, seeds)`` pair every fan-out message
-carries, replaying the commit sequence so the rebuilt trajectory is still
-bitwise identical.
+trajectory by the same one-column extension the parent performs.  A
+worker that missed a broadcast (e.g. the pool started mid-session)
+rebuilds the committed trajectory lazily from the ``(base, seeds)`` pair
+every fan-out message carries, replaying the commit sequence so the
+rebuilt trajectory is still bitwise identical.
 
 On a single-core host the fan-out cannot beat the in-process engine on
 wall-clock — IPC overhead buys nothing — but the sharding itself is
@@ -120,15 +95,13 @@ _DELTA_JOURNAL_CAP = 4
 #: worker recovers the state from the journal replay / lazy rebuild).
 _BROADCAST_OPS = frozenset({"ping", "commit", "delta", "adopt"})
 
-#: Supported message transports (the ``dm-mp:<W>:shm`` spec suffix).
-TRANSPORTS = ("pipe", "shm")
-
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _STOP_BYTES = pickle.dumps(("stop",), _PICKLE_PROTOCOL)
 
-#: Tag marking a message field as a shared-memory array reference
-#: ``("@shm", segment, dtype, shape, offset)`` instead of inline data.
-_SHM_TAG = "@shm"
+# The fan-out ops (``chunk`` / ``rows`` / ``ext`` / ``extrows``) and
+# ``delta`` end in a reserved ``None`` field.  It keeps the framed layout
+# that tcp net workers unpack stable, and with it the exact ``ipc_bytes``
+# each op costs.
 
 
 def _send_message(conn, message: tuple) -> int:
@@ -153,7 +126,7 @@ def _flatten_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
     Pickling many tiny ndarrays costs ~150 bytes of framing *each*; one
     ``(lengths, values)`` pair costs two headers however many sets ride
-    along — and maps into a request slab as two contiguous writes.
+    along.
     """
     lengths = np.array([s.size for s in sets], dtype=np.int64)
     if sets:
@@ -164,7 +137,7 @@ def _flatten_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_sets(lengths: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-    """Inverse of :func:`_flatten_sets` (copies: slabs are reused)."""
+    """Inverse of :func:`_flatten_sets`."""
     bounds = np.cumsum(np.asarray(lengths, dtype=np.int64))[:-1]
     return [
         np.array(chunk, dtype=np.int64)
@@ -172,23 +145,10 @@ def _split_sets(lengths: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _resolve(value, attach):
-    """Materialize a message field: shm refs become views, data passes."""
-    if (
-        attach is not None
-        and isinstance(value, tuple)
-        and value
-        and value[0] == _SHM_TAG
-    ):
-        return attach.array(value[1:])
-    return value
-
-
 def _unique_graphs(state) -> list:
-    """Deduplicated graphs in first-occurrence order (the gid order of
-    ``FJVoteProblem.share_arrays``) — parent and workers derive identical
-    gids from their own state, so delta broadcasts can address graphs by
-    gid without shipping object identities."""
+    """Deduplicated graphs in first-occurrence order — parent and workers
+    derive identical gids from their own state, so delta broadcasts can
+    address graphs by gid without shipping object identities."""
     seen: dict[int, None] = {}
     graphs = []
     for graph in state.graphs:
@@ -205,18 +165,14 @@ def _worker_apply_delta(
     report,
     columns_by_gid,
     opinions,
-    new_refs,
-    attach,
 ) -> None:
     """Fold a parent delta broadcast into the worker's problem and engine.
 
-    Shared-memory workers only re-map structurally changed matrices
-    (``new_refs``) — data-only patches already landed in the mapped
-    segments — and adopt versions/cache drops via ``note_external_delta``.
-    Pipe workers splice the shipped post-delta columns and opinion rows
-    into their private arrays (never re-running the surgery: the parent
-    ships final bytes, keeping worker state bit-identical).  Idempotent
-    per problem version, so a re-broadcast is a no-op.
+    Workers splice the shipped post-delta columns and opinion rows into
+    their private arrays (never re-running the surgery: the parent ships
+    final bytes, keeping worker state bit-identical), then adopt the
+    parent's versions and cache drops via ``note_external_delta``.
+    Idempotent per problem version, so a re-broadcast is a no-op.
     """
     if (
         problem.graph_version >= report.graph_version
@@ -224,58 +180,20 @@ def _worker_apply_delta(
     ):
         return
     graphs = _unique_graphs(problem.state)
-    if attach is not None:
-        if new_refs:
-            from scipy import sparse
-
-            for gid_key, refs in new_refs.items():
-                graph = graphs[int(gid_key)]
-                parts = {}
-                matrix_kinds = (
-                    ("csr", sparse.csr_matrix),
-                    ("csc", sparse.csc_matrix),
-                )
-                for orient, kind in matrix_kinds:
-                    parts[orient] = kind(
-                        (
-                            attach.array(refs[f"{orient}.data"][1:]),
-                            attach.array(refs[f"{orient}.indices"][1:]),
-                            attach.array(refs[f"{orient}.indptr"][1:]),
-                        ),
-                        shape=(problem.n, problem.n),
-                        copy=False,
-                    )
-                graph._csr = parts["csr"]
-                graph._csc = parts["csc"]
-        problem.note_external_delta(report)
-    else:
-        if columns_by_gid:
-            for gid_key, columns in columns_by_gid.items():
-                graphs[int(gid_key)].adopt_columns(
-                    columns, graphs[int(gid_key)].version + 1
-                )
-        if opinions:
-            b0 = problem.state.initial_opinions
-            b0.setflags(write=True)
-            try:
-                for q, nodes, values in opinions:
-                    b0[int(q), np.asarray(nodes, dtype=np.int64)] = values
-            finally:
-                b0.setflags(write=False)
-        # Versions/caches: same selective invalidation as the shm path
-        # (graph versions were already advanced by adopt_columns).
-        problem.graph_version = report.graph_version
-        problem.opinion_version = report.opinion_version
-        dirty = set(report.touched_by_candidate) | set(
-            report.opinions_by_candidate
-        )
-        if problem.target in dirty:
-            problem._base_target = None
-            problem._base_trajectory = None
-            problem._seeded_trajectories.clear()
-        if dirty - {problem.target}:
-            problem._competitors = None
-            problem._others_by_user = None
+    if columns_by_gid:
+        for gid_key, columns in columns_by_gid.items():
+            graphs[int(gid_key)].adopt_columns(
+                columns, graphs[int(gid_key)].version + 1
+            )
+    if opinions:
+        b0 = problem.state.initial_opinions
+        b0.setflags(write=True)
+        try:
+            for q, nodes, values in opinions:
+                b0[int(q), np.asarray(nodes, dtype=np.int64)] = values
+        finally:
+            b0.setflags(write=False)
+    problem.note_external_delta(report)
     if report.target_touched(problem.target).size:
         engine._build_wt_scaled()
     dirty = set(report.touched_by_candidate) | set(report.opinions_by_candidate)
@@ -323,42 +241,15 @@ def _worker_session(
     return state
 
 
-def _worker_main(conn, problem_payload, engine_kwargs: dict, shm_info=None) -> None:
+def _worker_main(conn, problem: FJVoteProblem, engine_kwargs: dict) -> None:
     """Process-pool worker: build the private engine, run the shared loop.
 
-    ``problem_payload`` is the problem itself (pipe transport) or the
-    ``(skeleton, array refs)`` pair of
-    :meth:`FJVoteProblem.share_arrays` (shm transport: the worker maps the
-    arrays and rebuilds the problem around zero-copy views).  The command
-    dispatch itself lives in :func:`_worker_loop`, shared with the TCP
-    net-worker of :mod:`repro.core.engine_net` — same ops, same framed
-    replies, whatever carries the bytes.
+    The command dispatch itself lives in :func:`_worker_loop`, shared with
+    the TCP net-worker of :mod:`repro.core.engine_net` — same ops, same
+    framed replies, whatever carries the bytes.
     """
-    attach = None
-    commit_view = None
-    if shm_info is not None:
-        from repro.core.shm import ShmAttachments
-
-        attach = ShmAttachments()
-        skeleton, refs = problem_payload
-        arrays = {key: attach.array(ref) for key, ref in refs.items()}
-        problem = FJVoteProblem.from_shared_arrays(skeleton, arrays)
-        commit_view = attach.array(shm_info["commit"])
-    else:
-        problem = problem_payload
     engine = BatchedDMEngine(problem, **engine_kwargs)
-    try:
-        _worker_loop(
-            conn,
-            problem,
-            engine,
-            attach=attach,
-            commit_view=commit_view,
-            watch_parent=True,
-        )
-    finally:
-        if attach is not None:
-            attach.close()
+    _worker_loop(conn, problem, engine, watch_parent=True)
 
 
 def _worker_loop(
@@ -366,8 +257,6 @@ def _worker_loop(
     problem: FJVoteProblem,
     engine: BatchedDMEngine,
     *,
-    attach=None,
-    commit_view=None,
     watch_parent: bool = True,
 ) -> None:
     """The dm-mp worker command loop, transport-agnostic.
@@ -377,8 +266,7 @@ def _worker_loop(
     or the net-worker's framed TCP socket.  Every reply carries the delta
     of the worker engine's evolution counters (as a tuple ordered like
     ``_EVOLUTION_COUNTERS``) so the parent can account the work each
-    worker actually performed; payload arrays are written into the reply
-    slab the request names (shm) or pickled into the ack.
+    worker actually performed; payload arrays are pickled into the ack.
 
     ``watch_parent`` enables the orphan watchdog for forked pool members;
     net workers serve a remote coordinator whose death arrives as plain
@@ -388,8 +276,7 @@ def _worker_loop(
     # Workers forked later inherit duplicates of earlier workers'
     # parent-side pipe fds, so a SIGKILLed parent does *not* deliver EOF
     # to every sibling — watch for orphaning (reparenting) instead, or
-    # the pool (and via its held fds, the resource tracker's shm
-    # cleanup) outlives a crashed server.
+    # the pool outlives a crashed server.
     parent_pid = os.getppid() if watch_parent else None
     while True:
         try:
@@ -411,19 +298,18 @@ def _worker_loop(
             engine.stats.reset()
             result = None
             payload = None
-            reply_ref = None
             if op == "ping":
                 result = (os.getpid(), mp.current_process().name)
             elif op == "chunk":
-                _, lengths, values, reply_ref = message
-                sets = _split_sets(_resolve(lengths, attach), _resolve(values, attach))
+                _, lengths, values, _ = message
+                sets = _split_sets(lengths, values)
                 # ``evaluate`` (not ``_chunked_scores``) so a net worker
                 # hosting its own dm-mp pool fans the chunk out again;
                 # results are bitwise identical either way.
                 payload = engine.evaluate(sets)
             elif op == "ext":
-                _, sid, base, seeds, cand, reply_ref = message
-                cand = np.asarray(_resolve(cand, attach), dtype=np.int64)
+                _, sid, base, seeds, cand, _ = message
+                cand = np.asarray(cand, dtype=np.int64)
                 state = _worker_session(engine, sessions, sid, base, seeds)
                 payload = engine.extension_values(
                     state["traj"], np.asarray(seeds, dtype=np.int64), cand
@@ -432,63 +318,42 @@ def _worker_loop(
                 # Like "ext" but unscored: the (chunk, n) horizon rows go
                 # back so the parent scores each through the canonical
                 # width-1 path (batch-stable serving responses).
-                _, sid, base, seeds, cand, reply_ref = message
-                cand = np.asarray(_resolve(cand, attach), dtype=np.int64)
+                _, sid, base, seeds, cand, _ = message
+                cand = np.asarray(cand, dtype=np.int64)
                 state = _worker_session(engine, sessions, sid, base, seeds)
                 payload = engine.extension_rows(
                     state["traj"], np.asarray(seeds, dtype=np.int64), cand
                 )
             elif op == "rows":
-                _, lengths, values, reply_ref = message
-                sets = _split_sets(_resolve(lengths, attach), _resolve(values, attach))
+                _, lengths, values, _ = message
+                sets = _split_sets(lengths, values)
                 payload = engine.target_opinion_rows(sets)
             elif op == "delta":
-                _, report, columns_by_gid, opinions, new_refs = message
+                _, report, columns_by_gid, opinions, _ = message
                 _worker_apply_delta(
-                    problem,
-                    engine,
-                    sessions,
-                    report,
-                    columns_by_gid,
-                    opinions,
-                    new_refs,
-                    attach,
+                    problem, engine, sessions, report, columns_by_gid, opinions
                 )
             elif op == "commit":
                 _, sid, base, before, seed = message
-                if commit_view is not None:
-                    # The slab holds the parent's full committed
-                    # trajectory: adopting it by copy is bitwise the
-                    # parent's state and heals missed broadcasts too.
-                    _store_session(
-                        sessions,
-                        sid,
-                        {
-                            "seeds": list(before) + [int(seed)],
-                            "traj": commit_view.copy(),
-                        },
+                state = sessions.get(sid)
+                if (
+                    state is not None
+                    and state["traj"] is not None
+                    and state["seeds"] == list(before)
+                ):
+                    state["traj"] = engine.extend_trajectory(
+                        state["traj"],
+                        np.asarray(before, dtype=np.int64),
+                        np.array([seed], dtype=np.int64),
                     )
+                    state["seeds"].append(int(seed))
                 else:
-                    state = sessions.get(sid)
-                    if (
-                        state is not None
-                        and state["traj"] is not None
-                        and state["seeds"] == list(before)
-                    ):
-                        state["traj"] = engine.extend_trajectory(
-                            state["traj"],
-                            np.asarray(before, dtype=np.int64),
-                            np.array([seed], dtype=np.int64),
-                        )
-                        state["seeds"].append(int(seed))
-                    else:
-                        # Missed or out-of-order broadcast: remember the
-                        # seed sequence, rebuild lazily on the next
-                        # fan-out.
-                        sessions[sid] = {
-                            "seeds": list(before) + [int(seed)],
-                            "traj": None,
-                        }
+                    # Missed or out-of-order broadcast: remember the
+                    # seed sequence, rebuild lazily on the next fan-out.
+                    sessions[sid] = {
+                        "seeds": list(before) + [int(seed)],
+                        "traj": None,
+                    }
             elif op == "adopt":
                 # Journal replay onto a respawned worker: register the
                 # session's committed seed sequence; the trajectory is
@@ -503,10 +368,6 @@ def _worker_loop(
             stats = tuple(
                 int(getattr(engine.stats, name)) for name in _EVOLUTION_COUNTERS
             )
-            if payload is not None and reply_ref is not None and attach is not None:
-                view = attach.array(reply_ref[1:])
-                view[...] = payload
-                payload = None
             out = result if payload is None else payload
             conn.send_bytes(pickle.dumps(("ok", out, stats), _PICKLE_PROTOCOL))
         except Exception as exc:  # pragma: no cover - worker-side failures
@@ -538,9 +399,7 @@ class MultiprocessDMSession(BatchedDMSession):
     prefix probes are single-column work, cheapest done locally); each
     round's ``marginal_gains`` fans the candidate chunks out with the
     session id, and each ``commit`` tells every worker to fold the chosen
-    seed into its local copy of the committed trajectory (under the shm
-    transport the parent's trajectory is published through the commit
-    slab, so workers adopt it by one memcpy).
+    seed into its local copy of the committed trajectory.
     """
 
     def __init__(self, engine: "MultiprocessDMEngine", base: SeedSet = ()) -> None:
@@ -561,7 +420,7 @@ class MultiprocessDMSession(BatchedDMSession):
         Workers return unscored extension rows (bitwise identical to the
         single-process engine's at every worker count); the parent scores
         each through the canonical width-1 path, so coalesced responses
-        match serial ones byte for byte across transports and pool sizes.
+        match serial ones byte for byte across pool sizes.
         """
         self._ensure_fresh()
         rows = self.engine.session_extension_rows(
@@ -576,9 +435,7 @@ class MultiprocessDMSession(BatchedDMSession):
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         before = tuple(self._seeds)
         value = super().commit(seed, gain=gain)
-        self.engine.broadcast_commit(
-            self._sid, self._base, before, int(seed), self._traj
-        )
+        self.engine.broadcast_commit(self._sid, self._base, before, int(seed))
         return value
 
     def _on_delta(self, report, mode: str = "auto") -> None:
@@ -602,16 +459,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
     start_method:
         ``multiprocessing`` start method: ``"fork"`` (default where
         available — matrices are inherited for free), ``"forkserver"`` or
-        ``"spawn"`` (the problem is pickled to the worker instead, or
-        mapped from shared memory under the shm transport).
-    transport:
-        ``"pipe"`` (default) pickles payload arrays into the messages;
-        ``"shm"`` (the ``dm-mp:<W>:shm`` spec suffix) maps the problem,
-        request/reply payloads and commit broadcasts through a
-        :class:`~repro.core.shm.ShmArena` so only array descriptors cross
-        the pipe — see the module docstring.  Results are bitwise
-        identical either way; :attr:`EngineStats.ipc_bytes` measures the
-        difference.
+        ``"spawn"`` (the problem is pickled to the worker instead).
     min_fanout:
         Below this many seed sets per call the parent — itself a full
         batched engine holding the same state — evaluates locally: a CELF
@@ -623,13 +471,14 @@ class MultiprocessDMEngine(BatchedDMEngine):
 
     The pool starts lazily on the first fanned-out call and is released by
     :meth:`close` (also via ``with``, garbage collection, or interpreter
-    exit — shared-memory segments are additionally guarded by
-    ``weakref.finalize``, so a crashed worker or an abandoned engine never
-    leaks ``/dev/shm``).  The engine keeps per-worker
+    exit).  The engine keeps per-worker
     :class:`EngineStats` in ``worker_stats`` — the max dense-column-step
     share across workers is the round's critical path, the deterministic
     scaling metric of ``benchmarks/bench_engine_mp.py``.
     """
+
+    #: The data plane :meth:`pool_stats` reports (``HostPool`` rides tcp).
+    transport = "pipe"
 
     def __init__(
         self,
@@ -638,19 +487,13 @@ class MultiprocessDMEngine(BatchedDMEngine):
         workers: int = 2,
         start_method: str | None = None,
         min_fanout: int | None = None,
-        transport: str = "pipe",
         **kwargs: object,
     ) -> None:
         super().__init__(problem, **kwargs)
         workers = int(workers)
         if workers < 1:
             raise ValueError(f"dm-mp needs at least one worker, got {workers}")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
         self.workers = workers
-        self.transport = str(transport)
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -668,12 +511,6 @@ class MultiprocessDMEngine(BatchedDMEngine):
         self._engine_kwargs = dict(kwargs)
         self._handles: list[_WorkerHandle] | None = None
         self._session_counter = 0
-        self._arena = None
-        self._request_slabs = None
-        self._reply_slabs = None
-        self._commit_view: np.ndarray | None = None
-        self._shared_refs: dict | None = None
-        self._shm_info: dict | None = None
         #: Supervision state: worker slots detected dead (healed by
         #: respawn at the next dispatch) and the coordinator-side journal
         #: a respawned worker replays — committed seed sequences per live
@@ -688,45 +525,17 @@ class MultiprocessDMEngine(BatchedDMEngine):
     def _ensure_pool(self) -> list[_WorkerHandle]:
         if self._handles is None:
             ctx = mp.get_context(self.start_method)
-            problem_payload = self.problem
-            shm_info = None
-            if self.transport == "shm":
-                from repro.core.shm import ShmArena, ShmSlab
-
-                arena = ShmArena()
-                skeleton, arrays = self.problem.share_arrays()
-                refs = {key: arena.share_array(a) for key, a in arrays.items()}
-                problem_payload = (skeleton, refs)
-                # Retained so a later delta broadcast can patch the mapped
-                # problem arrays in place (or re-share structurally
-                # changed ones) instead of re-shipping the problem.
-                self._shared_refs = refs
-                shape = (self.problem.horizon + 1, self.problem.n)
-                segment = arena.create(8 * shape[0] * shape[1])
-                self._commit_view = np.ndarray(
-                    shape, dtype=np.float64, buffer=segment.buf
-                )
-                shm_info = {
-                    "commit": (segment.name, np.dtype(np.float64).str, shape, 0)
-                }
-                self._arena = arena
-                self._request_slabs = [ShmSlab(arena) for _ in range(self.workers)]
-                self._reply_slabs = [ShmSlab(arena) for _ in range(self.workers)]
-            self._shm_info = shm_info
-            self._handles = [
-                self._spawn_worker(ctx, problem_payload, shm_info)
-                for _ in range(self.workers)
-            ]
+            self._handles = [self._spawn_worker(ctx) for _ in range(self.workers)]
             self._dead = set()
             self._pool_started = time.monotonic()
         return self._handles
 
-    def _spawn_worker(self, ctx, problem_payload, shm_info) -> _WorkerHandle:
-        """Start one pool member and hand back its handle."""
+    def _spawn_worker(self, ctx) -> _WorkerHandle:
+        """Start one pool member on the current problem; returns its handle."""
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, problem_payload, self._engine_kwargs, shm_info),
+            args=(child_conn, self.problem, self._engine_kwargs),
             daemon=True,
         )
         process.start()
@@ -734,32 +543,18 @@ class MultiprocessDMEngine(BatchedDMEngine):
         return _WorkerHandle(process, parent_conn)
 
     def close(self) -> None:
-        """Stop the pool and unlink its shm segments (idempotent).
+        """Stop the pool (idempotent).
 
-        Robust to workers that died mid-round: sends are guarded, joins
-        escalate ``join -> terminate -> kill`` with bounded timeouts so a
-        dead or wedged pipe can never hang the caller, and the arena
-        teardown runs in a ``finally`` (it is additionally guarded by
-        ``weakref.finalize``, so even a close that never runs cannot leak
-        segments).  The engine restarts lazily if used again.
+        Robust to workers that died mid-round: sends are guarded and joins
+        escalate ``join -> terminate -> kill`` with bounded timeouts, so a
+        dead or wedged pipe can never hang the caller.  The engine
+        restarts lazily if used again.
         """
         handles, self._handles = self._handles, None
-        arena, self._arena = self._arena, None
         self._pool_started = None
-        self._request_slabs = None
-        self._reply_slabs = None
-        self._commit_view = None
-        self._shared_refs = None
-        self._shm_info = None
         self._dead = set()
-        try:
-            if handles:
-                stop_worker_pool(
-                    handles, lambda conn: conn.send_bytes(_STOP_BYTES)
-                )
-        finally:
-            if arena is not None:
-                arena.close()
+        if handles:
+            stop_worker_pool(handles, lambda conn: conn.send_bytes(_STOP_BYTES))
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
         try:
@@ -776,19 +571,14 @@ class MultiprocessDMEngine(BatchedDMEngine):
 
         ``rounds`` counts fan-out dispatches, ``busy_s`` the wall time
         spent inside them, ``idle_s`` the remainder of the running pool's
-        uptime.  ``shm_segments`` names the arena's live segments — the
-        serving crash tests poll these to prove a killed server leaks
-        nothing.  Round/busy counters are cumulative across pool
-        restarts; only the uptime window resets.
+        uptime.  Round/busy counters are cumulative across pool restarts;
+        only the uptime window resets.
         """
         started = self._handles is not None
         uptime = 0.0
         if started and self._pool_started is not None:
             uptime = time.monotonic() - self._pool_started
         busy = float(self.pool_busy_s)
-        segments: list[str] = []
-        if self._arena is not None:
-            segments = sorted(self._arena.names)
         return {
             "backend": type(self).__name__,
             "workers": self.workers,
@@ -797,7 +587,6 @@ class MultiprocessDMEngine(BatchedDMEngine):
             "rounds": int(self.pool_rounds),
             "busy_s": round(busy, 6),
             "idle_s": round(max(uptime - busy, 0.0), 6),
-            "shm_segments": segments,
             "workers_lost": int(self.stats.workers_lost),
             "workers_respawned": int(self.stats.workers_respawned),
         }
@@ -805,15 +594,13 @@ class MultiprocessDMEngine(BatchedDMEngine):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _run(self, messages: Sequence[tuple], pending: Sequence | None = None) -> list:
+    def _run(self, messages: Sequence[tuple]) -> list:
         """Supervised dispatch: send, gather, survive worker deaths.
 
         Workers compute concurrently — all sends complete before the first
         receive — and replies are folded into ``stats`` / ``worker_stats``.
-        ``pending[i]``, when set, names the reply-slab region reserved for
-        message ``i`` (the shm transport); the result is copied out of the
-        slab on receipt.  Every byte actually crossing a pipe, in either
-        direction, lands in ``stats.ipc_bytes``.
+        Every byte actually crossing a pipe, in either direction, lands in
+        ``stats.ipc_bytes``.
 
         A worker whose pipe fails mid-round (EOF, broken pipe) is marked
         lost (``stats.workers_lost``): its chunked message re-dispatches
@@ -854,12 +641,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
                     failed.append(index)
                     continue
                 self.stats.ipc_bytes += nbytes
-                result = self._fold_reply(index, reply)
-                if pending is not None and pending[index] is not None:
-                    result = np.array(
-                        self._reply_slabs[index].view(pending[index])
-                    )
-                results[index] = result
+                results[index] = self._fold_reply(index, reply)
             if failed:
                 if messages[failed[0]][0] in _BROADCAST_OPS:
                     # Survivors already served the broadcast; the
@@ -868,7 +650,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
                         self.close()
                         raise RuntimeError("dm-mp: every worker died")
                 else:
-                    self._redispatch(messages, sorted(failed), results, pending)
+                    self._redispatch(messages, sorted(failed), results)
             return [results[index] for index in sorted(results)]
         finally:
             self.pool_rounds += 1
@@ -903,15 +685,13 @@ class MultiprocessDMEngine(BatchedDMEngine):
         messages: list,
         queue: list[int],
         results: dict[int, object],
-        pending: Sequence | None,
     ) -> None:
         """Re-shard a dead worker's chunks across the survivors, in waves.
 
         Each wave assigns at most one queued message per survivor; a
         survivor that dies mid-wave sends its message back into the
-        queue.  Slab copy-out always uses the *message* index — the shm
-        refs baked into a message name the originating slot's slabs, and
-        segments attach by name, so any worker can fill them.
+        queue.  Results are keyed by *message* index, so the chunk-order
+        concatenation is unchanged by who answered.
         """
         while queue:
             handles = self._handles or []
@@ -945,12 +725,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
                     queue.append(index)
                     continue
                 self.stats.ipc_bytes += nbytes
-                result = self._fold_reply(slot, reply)
-                if pending is not None and pending[index] is not None:
-                    result = np.array(
-                        self._reply_slabs[index].view(pending[index])
-                    )
-                results[index] = result
+                results[index] = self._fold_reply(slot, reply)
 
     def _heal_pool(self) -> None:
         """Respawn every dead slot before the next round dispatches."""
@@ -963,25 +738,17 @@ class MultiprocessDMEngine(BatchedDMEngine):
     def _respawn_worker(self, index: int) -> None:
         """Replace a dead pool member and replay the journal onto it.
 
-        The replacement gets the *current* problem: re-pickled under the
-        pipe transport, or a fresh skeleton around the existing shared
-        segments under shm (``_shared_refs`` is patched in place by delta
-        republishing, so the refs are always current — re-sharing would
-        orphan the commit view).  Journal replay then registers committed
-        session seed sequences (``adopt`` — trajectories rebuild lazily,
-        bitwise identical) and re-sends recent delta broadcasts
-        (idempotent on the already-current problem).
+        The replacement gets the *current* problem.  Journal replay then
+        registers committed session seed sequences (``adopt`` —
+        trajectories rebuild lazily, bitwise identical) and re-sends
+        recent delta broadcasts (idempotent on the already-current
+        problem).
         """
         handles = self._handles
         if handles is None:  # pragma: no cover - close raced the heal
             return
         stop_worker_pool([handles[index]], lambda conn: conn.send_bytes(_STOP_BYTES))
-        ctx = mp.get_context(self.start_method)
-        problem_payload = self.problem
-        if self.transport == "shm":
-            skeleton, _ = self.problem.share_arrays()
-            problem_payload = (skeleton, self._shared_refs)
-        handles[index] = self._spawn_worker(ctx, problem_payload, self._shm_info)
+        handles[index] = self._spawn_worker(mp.get_context(self.start_method))
         self.stats.workers_respawned += 1
         self._replay_journal(index, handles[index])
 
@@ -1027,49 +794,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
             if idx.size
         ]
 
-    def _slab_request(
-        self,
-        worker: int,
-        arrays: list[np.ndarray],
-        reply_shape: tuple[int, ...],
-    ) -> tuple[list[tuple], tuple]:
-        """One shm request: write ``arrays`` to the worker's request slab
-        and reserve its float64 reply region.
-
-        Returns the tagged array refs (message fields, in order) and the
-        reserved reply ref — the single place the slab protocol (begin,
-        pre-``ensure`` of the full message, aligned writes, reservation)
-        is spelled out for every fan-out op.
-        """
-        self._ensure_pool()
-        request = self._request_slabs[worker]
-        request.begin()
-        request.ensure(sum(a.nbytes for a in arrays) + 8 * len(arrays))
-        refs = [(_SHM_TAG, *request.write(a)) for a in arrays]
-        reply = self._reply_slabs[worker]
-        reply.begin()
-        reply.ensure(8 * int(np.prod(reply_shape, dtype=np.int64)))
-        return refs, reply.reserve(np.float64, reply_shape)
-
-    def _sets_message(
-        self, op: str, chunk_sets: list[np.ndarray], worker: int
-    ) -> tuple[tuple, tuple | None]:
-        """Build a ``chunk``/``rows`` request; returns ``(message, pending)``.
-
-        Seed sets travel flattened as ``(lengths, values)``; under the shm
-        transport both land in the worker's request slab and the reply
-        payload region is reserved up front, so the message itself is a
-        few descriptor tuples.
-        """
-        lengths, values = _flatten_sets(chunk_sets)
-        if op == "rows":
-            shape: tuple[int, ...] = (len(chunk_sets), self.problem.n)
-        else:
-            shape = (len(chunk_sets),)
-        if self.transport != "shm":
-            return (op, lengths, values, None), None
-        refs, payload_ref = self._slab_request(worker, [lengths, values], shape)
-        return (op, refs[0], refs[1], (_SHM_TAG, *payload_ref)), payload_ref
+    def _sets_message(self, op: str, chunk_sets: list[np.ndarray]) -> tuple:
+        """A ``chunk``/``rows`` request: the seed sets travel flattened."""
+        return (op, *_flatten_sets(chunk_sets), None)
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -1089,36 +816,26 @@ class MultiprocessDMEngine(BatchedDMEngine):
             return np.empty(0, dtype=np.float64)
         if len(sets) < self.min_fanout:
             return self._chunked_scores(sets)
-        chunks = self._chunk_indices(len(sets))
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            message, reply_ref = self._sets_message(
-                "chunk", [sets[i] for i in idx], worker
-            )
-            messages.append(message)
-            pending.append(reply_ref)
-        return np.concatenate(self._run(messages, pending))
+        messages = [
+            self._sets_message("chunk", [sets[i] for i in idx])
+            for idx in self._chunk_indices(len(sets))
+        ]
+        return np.concatenate(self._run(messages))
 
     def target_opinion_rows(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
         """``(C, n)`` horizon opinion rows, fanned out across the pool.
 
-        Chunks of seed sets evolve concurrently and each worker writes its
-        dense block straight into its reply slab under the shm transport —
-        the canonical "dense payload" case the zero-copy data plane
-        exists for.  Small requests run locally, like ``evaluate``.
+        Chunks of seed sets evolve concurrently and each worker pickles
+        its dense block into the reply.  Small requests run locally, like
+        ``evaluate``.
         """
         sets = self._normalize_sets(seed_sets)
         if len(sets) < self.min_fanout:
             return super().target_opinion_rows(sets)
         chunks = self._chunk_indices(len(sets))
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            message, reply_ref = self._sets_message(
-                "rows", [sets[i] for i in idx], worker
-            )
-            messages.append(message)
-            pending.append(reply_ref)
-        results = self._run(messages, pending)
+        results = self._run(
+            [self._sets_message("rows", [sets[i] for i in idx]) for idx in chunks]
+        )
         rows = np.empty((len(sets), self.problem.n), dtype=np.float64)
         for idx, block in zip(chunks, results):
             rows[idx[0] : idx[-1] + 1] = block
@@ -1145,21 +862,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
         chunks = self._chunk_indices(cand.size)
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            part = cand[idx]
-            if self.transport == "shm":
-                refs, payload_ref = self._slab_request(
-                    worker, [part], (int(part.size),)
-                )
-                messages.append(
-                    ("ext", sid, base, seeds, refs[0], (_SHM_TAG, *payload_ref))
-                )
-                pending.append(payload_ref)
-            else:
-                messages.append(("ext", sid, base, seeds, part, None))
-                pending.append(None)
-        return np.concatenate(self._run(messages, pending))
+        return np.concatenate(
+            self._run([("ext", sid, base, seeds, cand[idx], None) for idx in chunks])
+        )
 
     def session_extension_rows(
         self,
@@ -1173,9 +878,8 @@ class MultiprocessDMEngine(BatchedDMEngine):
 
         The rows counterpart of :meth:`session_extension_values`: workers
         evolve their candidate chunks against the session's committed
-        trajectory and reply with the ``(chunk, n)`` horizon rows (written
-        straight into the reply slab under shm), so the parent can score
-        each row through the canonical width-1 path
+        trajectory and reply with the ``(chunk, n)`` horizon rows, so the
+        parent can score each row through the canonical width-1 path
         (:meth:`MultiprocessDMSession.coalesced_gains`).  Rows are
         bitwise identical to the local :meth:`BatchedDMEngine.extension_rows`
         at every worker count and batch size.
@@ -1189,28 +893,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
         chunks = self._chunk_indices(cand.size)
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            part = cand[idx]
-            if self.transport == "shm":
-                refs, payload_ref = self._slab_request(
-                    worker, [part], (int(part.size), n)
-                )
-                messages.append(
-                    (
-                        "extrows",
-                        sid,
-                        base,
-                        seeds,
-                        refs[0],
-                        (_SHM_TAG, *payload_ref),
-                    )
-                )
-                pending.append(payload_ref)
-            else:
-                messages.append(("extrows", sid, base, seeds, part, None))
-                pending.append(None)
-        results = self._run(messages, pending)
+        results = self._run(
+            [("extrows", sid, base, seeds, cand[idx], None) for idx in chunks]
+        )
         rows = np.empty((cand.size, n), dtype=np.float64)
         for idx, block in zip(chunks, results):
             rows[idx[0] : idx[-1] + 1] = block
@@ -1220,141 +905,60 @@ class MultiprocessDMEngine(BatchedDMEngine):
         """Broadcast a delta to the pool, then refresh the parent engine.
 
         Workers patch their problem state in place instead of being
-        restarted with a re-shipped problem: under ``pipe`` the broadcast
-        carries only the touched columns' post-delta bytes (and changed
-        opinion rows); under ``shm`` the parent patches the mapped
-        segments directly — workers observe the new bytes without any
-        message payload — re-sharing only matrices whose sparsity
-        structure changed.  Warm sessions are rebuilt (never patched):
-        workers reconstruct committed trajectories from seed sequences,
-        and parent/worker state must stay bitwise identical.  A pool that
-        has not started yet needs no broadcast — it forks from the
-        already-patched problem.
+        restarted with a re-shipped problem: the broadcast carries only
+        the touched columns' post-delta bytes (and changed opinion rows).
+        Warm sessions are rebuilt (never patched): workers reconstruct
+        committed trajectories from seed sequences, and parent/worker
+        state must stay bitwise identical.  A pool that has not started
+        yet needs no broadcast — it forks from the already-patched
+        problem.
         """
         if report.empty:
             return
         if self._handles is not None:
-            columns_by_gid = None
+            state = self.problem.state
+            graphs = _unique_graphs(state)
+            gid_of = {id(g): i for i, g in enumerate(graphs)}
+            columns_by_gid: dict[int, dict] = {}
+            for q, touched in report.touched_by_candidate.items():
+                graph = state.graph(int(q))
+                gid = gid_of[id(graph)]
+                if gid in columns_by_gid:
+                    continue
+                columns_by_gid[gid] = {
+                    int(t): tuple(np.array(part) for part in graph.in_neighbors(int(t)))
+                    for t in np.asarray(touched, dtype=np.int64)
+                }
             opinions = None
-            new_refs = None
-            if self.transport == "shm":
-                new_refs = self._republish_delta(report)
-            else:
-                state = self.problem.state
-                graphs = _unique_graphs(state)
-                gid_of = {id(g): i for i, g in enumerate(graphs)}
-                columns_by_gid = {}
-                for q, touched in report.touched_by_candidate.items():
-                    graph = state.graph(int(q))
-                    gid = gid_of[id(graph)]
-                    if gid in columns_by_gid:
-                        continue
-                    columns_by_gid[gid] = {
-                        int(t): tuple(
-                            np.array(part)
-                            for part in graph.in_neighbors(int(t))
-                        )
-                        for t in np.asarray(touched, dtype=np.int64)
-                    }
-                if report.opinions_by_candidate:
-                    b0 = state.initial_opinions
-                    opinions = [
-                        (
-                            int(q),
-                            np.asarray(nodes, dtype=np.int64),
-                            np.array(b0[int(q), np.asarray(nodes, dtype=np.int64)]),
-                        )
-                        for q, nodes in report.opinions_by_candidate.items()
-                    ]
+            if report.opinions_by_candidate:
+                b0 = state.initial_opinions
+                opinions = [
+                    (
+                        int(q),
+                        np.asarray(nodes, dtype=np.int64),
+                        np.array(b0[int(q), np.asarray(nodes, dtype=np.int64)]),
+                    )
+                    for q, nodes in report.opinions_by_candidate.items()
+                ]
             # Journaled before dispatch so a worker that dies *during*
             # this broadcast still sees the delta on respawn replay
             # (idempotent: respawns re-ship the already-patched problem).
             self._delta_journal.append(
-                ("delta", report, columns_by_gid, opinions, new_refs)
+                ("delta", report, columns_by_gid, opinions, None)
             )
             del self._delta_journal[:-_DELTA_JOURNAL_CAP]
             self._run([self._delta_journal[-1]] * self.workers)
         super().apply_delta(report, sessions=sessions)
 
-    def _republish_delta(self, report) -> dict | None:
-        """Patch the shared problem segments in place; re-share on growth.
-
-        Returns ``{gid: {"csr.data": tagged ref, ...}}`` for graphs whose
-        arrays changed shape (structural deltas) — workers rebuild those
-        matrix views; everything else was patched inside the live
-        segments and needs no message payload at all.
-        """
-        refs = self._shared_refs
-        arena = self._arena
-        if refs is None or arena is None:
-            return None
-        state = self.problem.state
-        graphs = _unique_graphs(state)
-        gid_of = {id(g): i for i, g in enumerate(graphs)}
-        touched_gids = sorted(
-            {gid_of[id(state.graph(int(q)))] for q in report.touched_by_candidate}
-        )
-        new_refs: dict[int, dict[str, tuple]] = {}
-        for gid in touched_gids:
-            graph = graphs[gid]
-            replaced = False
-            for orient in ("csr", "csc"):
-                matrix = getattr(graph, orient)
-                for part in ("data", "indices", "indptr"):
-                    key = f"g{gid}.{orient}.{part}"
-                    ref = refs[key]
-                    array = np.ascontiguousarray(getattr(matrix, part))
-                    if (
-                        tuple(ref[2]) == tuple(array.shape)
-                        and np.dtype(ref[1]) == array.dtype
-                    ):
-                        arena.view(ref)[...] = array
-                    else:
-                        old_name = ref[0]
-                        refs[key] = arena.share_array(array)
-                        arena.release(old_name)
-                        replaced = True
-            if replaced:
-                # Ship the full matrix ref set so the worker re-maps both
-                # orientations coherently (some parts may be unreplaced
-                # in-place segments — the refs are current either way).
-                new_refs[gid] = {
-                    f"{orient}.{part}": (
-                        _SHM_TAG,
-                        *refs[f"g{gid}.{orient}.{part}"],
-                    )
-                    for orient in ("csr", "csc")
-                    for part in ("data", "indices", "indptr")
-                }
-        if report.opinions_by_candidate:
-            ref = refs["initial_opinions"]
-            arena.view(ref)[...] = state.initial_opinions
-        return new_refs or None
-
-    def broadcast_commit(
-        self,
-        sid: int,
-        base: tuple,
-        before: tuple,
-        seed: int,
-        traj: np.ndarray | None = None,
-    ) -> None:
+    def broadcast_commit(self, sid: int, base: tuple, before: tuple, seed: int) -> None:
         """Tell every worker to fold ``seed`` into session ``sid``'s state.
 
-        ``traj`` is the parent's post-commit committed trajectory; under
-        the shm transport it is published through the commit slab so
-        workers adopt it by one copy (no per-worker re-extension, nothing
-        dense pickled).  A no-op while the pool has not started: the first
-        fan-out message carries the full seed sequence and workers rebuild
-        from it.
+        A no-op while the pool has not started: the first fan-out message
+        carries the full seed sequence and workers rebuild from it.
         """
         if self._handles is None:
             return
         self._journal_commit(sid, tuple(base), tuple(before) + (int(seed),))
-        if self._commit_view is not None:
-            if traj is None:
-                raise ValueError("shm commit broadcasts need the committed trajectory")
-            self._commit_view[...] = traj
         self._run([("commit", sid, base, before, seed)] * self.workers)
 
     def _journal_commit(self, sid: int, base: tuple, seeds: tuple) -> None:

@@ -94,8 +94,8 @@ class FramedSocket:
     ``recv_bytes`` returns exactly one peer ``send_bytes`` payload —
     the same whole-message semantics a pipe gives the worker loop.  The
     header is transport framing, not payload: ``ipc_bytes`` counts the
-    pickled payload only, keeping the counter comparable across pipe,
-    shm and tcp transports for identical messages.
+    pickled payload only, keeping the counter comparable across the pipe
+    and tcp transports for identical messages.
     """
 
     __slots__ = ("_sock",)
@@ -216,12 +216,13 @@ class HostPool(MultiprocessDMEngine):
         pool ships its ``engine_kwargs``.
 
     Everything above the wire is inherited from
-    :class:`MultiprocessDMEngine` with the pipe-style message bodies
-    (arrays pickled into frames, no shm slabs): sessions broadcast
-    commits, deltas ship patched columns, ``min_fanout`` keeps tiny
-    rounds local.  Only connection management, dispatch-with-degradation
+    :class:`MultiprocessDMEngine` (arrays pickled into frames): sessions
+    broadcast commits, deltas ship patched columns, ``min_fanout`` keeps
+    tiny rounds local.  Only connection management, dispatch-with-degradation
     and teardown are socket-specific.
     """
+
+    transport = "tcp"
 
     def __init__(
         self,
@@ -237,16 +238,7 @@ class HostPool(MultiprocessDMEngine):
             raise ValueError("dm-mp tcp needs at least one host:port")
         for entry in hosts:
             _split_address(entry)  # fail fast on malformed addresses
-        super().__init__(
-            problem,
-            workers=len(hosts),
-            transport="pipe",
-            min_fanout=min_fanout,
-            **kwargs,
-        )
-        # "pipe" above selects the pickled-frames message bodies in the
-        # inherited fan-out paths; the data plane is really TCP.
-        self.transport = "tcp"
+        super().__init__(problem, workers=len(hosts), min_fanout=min_fanout, **kwargs)
         self.hosts = hosts
         self.connect_timeout = float(connect_timeout)
         self._handles: list[_HostHandle] | None = None
@@ -396,16 +388,14 @@ class HostPool(MultiprocessDMEngine):
             setattr(handle.stats, name, getattr(handle.stats, name) + value)
         return result
 
-    def _run(self, messages: Sequence[tuple], pending: Sequence | None = None) -> list:
+    def _run(self, messages: Sequence[tuple]) -> list:
         """Fan out one round over the hosts, re-sharding around losses.
 
         Chunked ops keep their slots: ``results[i]`` always answers
         ``messages[i]``, however many times host failures re-dispatch it,
         so the caller's chunk-order concatenation (the byte-identity
-        contract) never observes the loss.  ``pending`` is unused — the
-        tcp data plane has no reply slabs.
+        contract) never observes the loss.
         """
-        del pending  # tcp frames carry their payloads inline
         self._ensure_pool()
         self._try_rejoin()
         self._inject_host_faults()

@@ -337,21 +337,16 @@ class FJVoteProblem:
         )
 
     def note_external_delta(self, report: DeltaReport) -> None:
-        """Adopt a delta already applied to this problem's backing arrays.
+        """Adopt a delta whose post-delta bytes are already installed.
 
-        Shared-memory ``dm-mp`` workers receive problems whose matrices are
-        views over a segment the parent patches in place; the worker must
-        not re-run the surgery (renormalization is not idempotent), only
-        adopt the versions and invalidate its caches.  Shared cache views
+        ``dm-mp`` workers splice the parent's final columns
+        (:meth:`~repro.graph.digraph.InfluenceGraph.adopt_columns`) and
+        opinion rows themselves and must not re-run the surgery
+        (renormalization is not idempotent); this adopts the parent's
+        versions and invalidates the caches the delta touched.  Caches
         for touched candidates are *dropped* (not patched) so lazy refills
         recompute from the patched matrices.
         """
-        seen: set[int] = set()
-        for q in report.touched_by_candidate:
-            graph = self.state.graph(q)
-            if id(graph) not in seen:
-                seen.add(id(graph))
-                graph.version += 1
         self.graph_version = report.graph_version
         self.opinion_version = report.opinion_version
         dirty = set(report.touched_by_candidate) | set(report.opinions_by_candidate)
@@ -387,12 +382,8 @@ class FJVoteProblem:
                     d_x = self.state.stubbornness[x]
                 fresh = fj_evolve(b0_x, d_x, self.state.graph(x), self.horizon)
                 self.evolution_steps += self.horizon
-                if not self._competitors.flags.writeable:
-                    self._competitors = self._competitors.copy()
                 self._competitors[row] = fresh
                 if self._others_by_user is not None:
-                    if not self._others_by_user.flags.writeable:
-                        self._others_by_user = self._others_by_user.copy()
                     self._others_by_user[:, row] = fresh
                 refreshed += 1
         return refreshed
@@ -415,138 +406,16 @@ class FJVoteProblem:
         state["_seeded_trajectories"] = {}
         return state
 
-    #: Cache attributes shipped to workers (shared inputs every worker
-    #: would recompute identically); the seeded-trajectory cache is
-    #: deliberately absent — see :meth:`__getstate__`.
+    #: Cache attributes that ship with the pickle (shared inputs every
+    #: worker would recompute identically); the seeded-trajectory cache is
+    #: deliberately absent — see :meth:`__getstate__`.  The
+    #: ``pickle-budget`` lint reads this as their declared disposition.
     _SHAREABLE_CACHES = (
         "_competitors",
         "_others_by_user",
         "_base_target",
         "_base_trajectory",
     )
-
-    def share_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Split the problem into a picklable skeleton and its large arrays.
-
-        The zero-copy transport of :mod:`repro.core.engine_mp` maps the
-        arrays into shared memory once per pool and sends only the
-        skeleton through the pipe; :meth:`from_shared_arrays` rebuilds an
-        equivalent problem around whatever views the transport hands
-        back.  Duplicate graphs (candidates sharing one influence matrix)
-        are shipped once, and the shareable caches travel exactly as
-        :meth:`__getstate__` would ship them.
-        """
-        state = self.state
-        arrays: dict[str, np.ndarray] = {
-            "initial_opinions": state.initial_opinions,
-            "stubbornness": state.stubbornness,
-        }
-        graph_ids: dict[int, int] = {}
-        graph_of_candidate: list[int] = []
-        for graph in state.graphs:
-            gid = graph_ids.get(id(graph))
-            if gid is None:
-                gid = len(graph_ids)
-                graph_ids[id(graph)] = gid
-                for orient in ("csr", "csc"):
-                    matrix = getattr(graph, orient)
-                    arrays[f"g{gid}.{orient}.data"] = matrix.data
-                    arrays[f"g{gid}.{orient}.indices"] = matrix.indices
-                    arrays[f"g{gid}.{orient}.indptr"] = matrix.indptr
-            graph_of_candidate.append(gid)
-        caches: list[str] = []
-        for name in self._SHAREABLE_CACHES:
-            value = getattr(self, name)
-            if value is not None:
-                arrays[f"cache{name}"] = value
-                caches.append(name)
-        graph_versions = [0] * len(graph_ids)
-        for graph in state.graphs:
-            graph_versions[graph_ids[id(graph)]] = graph.version
-        skeleton = {
-            "version": 1,
-            "n": state.n,
-            "problem_versions": (self.graph_version, self.opinion_version),
-            "graph_versions": graph_versions,
-            "graph_of_candidate": graph_of_candidate,
-            "candidates": state.candidates,
-            "target": self.target,
-            "horizon": self.horizon,
-            "score": self.score,
-            "competitor_seeds": self.competitor_seeds,
-            "caches": caches,
-        }
-        return skeleton, arrays
-
-    @classmethod
-    def from_shared_arrays(
-        cls, skeleton: dict, arrays: dict[str, np.ndarray]
-    ) -> "FJVoteProblem":
-        """Rebuild a problem from :meth:`share_arrays` output.
-
-        The returned problem's matrices are *views* over the supplied
-        arrays (no copies, no re-validation, no CSR→CSC re-derivation),
-        so callers backing ``arrays`` with shared memory get a problem
-        whose heavy state lives entirely in the mapped segments — the
-        caller keeps the mapping alive for the problem's lifetime.
-        """
-        from scipy import sparse
-
-        from repro.graph.digraph import InfluenceGraph
-
-        n = int(skeleton["n"])
-        graphs: dict[int, InfluenceGraph] = {}
-        for gid in set(skeleton["graph_of_candidate"]):
-            graph = InfluenceGraph.__new__(InfluenceGraph)
-            parts = {}
-            matrix_kinds = (("csr", sparse.csr_matrix), ("csc", sparse.csc_matrix))
-            for orient, kind in matrix_kinds:
-                parts[orient] = kind(
-                    (
-                        arrays[f"g{gid}.{orient}.data"],
-                        arrays[f"g{gid}.{orient}.indices"],
-                        arrays[f"g{gid}.{orient}.indptr"],
-                    ),
-                    shape=(n, n),
-                    copy=False,
-                )
-            graph._csr = parts["csr"]
-            graph._csc = parts["csc"]
-            graph.version = skeleton.get("graph_versions", [0] * (gid + 1))[gid]
-            graphs[gid] = graph
-        # Bypass CampaignState.__post_init__: the parent already validated
-        # (and clipped) these arrays, and re-validating would copy them —
-        # ``check_opinions`` clips — where a view must stay a view.
-        state = CampaignState.__new__(CampaignState)
-        object.__setattr__(
-            state,
-            "graphs",
-            tuple(graphs[g] for g in skeleton["graph_of_candidate"]),
-        )
-        for field, key in (
-            ("initial_opinions", "initial_opinions"),
-            ("stubbornness", "stubbornness"),
-        ):
-            view = arrays[key]
-            try:
-                view.setflags(write=False)
-            except ValueError:  # pragma: no cover - non-owning exotic view
-                pass
-            object.__setattr__(state, field, view)
-        object.__setattr__(state, "candidates", tuple(skeleton["candidates"]))
-        problem = cls(
-            state,
-            skeleton["target"],
-            skeleton["horizon"],
-            skeleton["score"],
-            competitor_seeds=skeleton["competitor_seeds"],
-        )
-        for name in skeleton["caches"]:
-            setattr(problem, name, arrays[f"cache{name}"])
-        versions = skeleton.get("problem_versions")
-        if versions is not None:
-            problem.graph_version, problem.opinion_version = versions
-        return problem
 
     def full_opinions(self, seeds: np.ndarray | tuple = ()) -> np.ndarray:
         """Full ``(r, n)`` horizon opinion matrix with ``seeds`` for the target."""

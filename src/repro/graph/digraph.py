@@ -13,6 +13,8 @@ reachability and cascade baselines) and CSC for fast column access
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 
@@ -121,12 +123,13 @@ class InfluenceGraph:
         are interpreted relative to the column's current stored weights, and
         every touched column is renormalized to sum to 1 afterwards (a column
         emptied by removals receives the standard self-loop of weight 1).
-        ``removed`` holds ``(src, dst)`` pairs that must exist.
+        Added weights must be finite and positive; anything else raises
+        ``ValueError`` before any mutation.  ``removed`` holds
+        ``(src, dst)`` pairs that must exist.
 
         Weight-only deltas (all added pairs already present, nothing removed)
         rewrite ``csr``/``csc`` data buffers in place, preserving the array
-        objects — shared-memory views over them observe the update without
-        any re-mapping.  Structural deltas splice the changed columns into
+        objects.  Structural deltas splice the changed columns into
         fresh canonical CSC/CSR arrays ("structural merge"); untouched
         columns keep their exact bytes either way, so the result is
         bit-identical to rebuilding an :class:`InfluenceGraph` from the
@@ -142,10 +145,10 @@ class InfluenceGraph:
         for s, t, w in add:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"added edge ({s}, {t}) out of range [0, {n})")
-            if w <= 0:
+            if not (math.isfinite(w) and w > 0):
                 raise ValueError(
-                    f"added edge ({s}, {t}) has non-positive weight {w!r}; "
-                    "use `removed` to delete edges"
+                    f"added edge ({s}, {t}) has weight {w!r}; weights must be "
+                    "finite and positive (use `removed` to delete edges)"
                 )
         for s, t in rem:
             if not (0 <= s < n and 0 <= t < n):

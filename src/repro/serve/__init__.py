@@ -37,7 +37,7 @@ sharing a prefix evolve the union of their candidates as a single
 :meth:`~repro.core.engine.ObjectiveEngine.query_sets` call, and duplicate
 top-k requests run greedy once.  Responses are *batch-stable*: byte
 identical whether a request was coalesced or served alone, at every
-worker count and transport (the engines evolve batch-stable rows and
+worker count (the engines evolve batch-stable rows and
 score each through the canonical width-1 reduction).  Deltas are
 serialized through the same queue, acting as barriers — every response
 carries the ``graph_version``/``opinion_version`` it was computed

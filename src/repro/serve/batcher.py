@@ -26,7 +26,7 @@ queries into shared engine rounds:
 Every merge is answer-preserving byte for byte: the engines' coalesced
 entry points are batch-stable (bitwise identical however requests are
 grouped), which the serving tests and ``benchmarks/bench_serving.py``
-assert across backends, transports and worker counts.
+assert across backends and worker counts.
 
 All counters in :class:`ServeStats` are deterministic — a fixed request
 sequence produces the same counts on every host — so the benchmark gates
@@ -547,6 +547,12 @@ class CoalescingBatcher:
                         if cand_param is None
                         else _node_list(cand_param, "candidates", n)
                     )
+                    if cand_key is not None and k > len(set(cand_key)):
+                        raise ProtocolError(
+                            ERROR_BAD_REQUEST,
+                            f"'k' = {k} exceeds the {len(set(cand_key))} "
+                            "distinct 'candidates'",
+                        )
                     lazy = bool(request.params.get("lazy", False))
                     topk.setdefault((key, k, lazy, cand_key), []).append(
                         (i, request)

@@ -26,8 +26,7 @@ Ops
 ``ping``
     Liveness probe; result echoes an optional ``payload``.
 ``stats``
-    Serving counters, per-engine pool accounting (including live shm
-    segment names) and problem versions.
+    Serving counters, per-engine pool accounting and problem versions.
 ``top_k_seeds``
     Greedy selection: ``k`` (required), optional ``candidates``,
     ``lazy``, ``engine``.
@@ -52,7 +51,7 @@ Error codes
 ``unknown-op``
     ``op`` is not one of :data:`OPS`.
 ``bad-engine-spec``
-    ``engine`` failed :func:`repro.core.engine.parse_engine_spec`; the
+    ``engine`` failed :meth:`repro.core.engine.EngineSpec.parse`; the
     registry's message is carried verbatim.
 ``engine-not-loaded``
     A well-formed spec this server was not started with.

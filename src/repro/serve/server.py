@@ -29,9 +29,9 @@ stops the listener and then, with ``drain=True`` (the first signal),
 runs the queue dry before closing; a second signal — or plain
 ``aclose()`` — fails queued requests instead.  Either way the hub close
 routes every ``dm-mp`` pool through
-:func:`repro.utils.workers.stop_worker_pool` and unlinks its shared
-memory — a killed server never leaks shm segments (the crash tests
-assert this for SIGTERM and, via the resource tracker, SIGKILL).
+:func:`repro.utils.workers.stop_worker_pool`, and pool workers of a
+SIGKILLed server exit through their orphan watchdog — the crash tests
+assert that no worker outlives the server for SIGTERM and SIGKILL.
 """
 
 from __future__ import annotations
@@ -388,11 +388,10 @@ def run_server(
 
     The signal handlers set an event rather than raising, so shutdown
     always runs :meth:`QueryServer.aclose` — worker pools are stopped via
-    ``stop_worker_pool`` and shm segments unlinked even when the process
-    is terminated externally.  The first signal drains gracefully (stops
-    accepting, answers everything already queued); a second signal cuts
-    the drain short and fails what is left.  Returns the final serving
-    counters.
+    ``stop_worker_pool`` even when the process is terminated externally.
+    The first signal drains gracefully (stops accepting, answers
+    everything already queued); a second signal cuts the drain short and
+    fails what is left.  Returns the final serving counters.
     """
     import signal
 

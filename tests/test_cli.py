@@ -227,7 +227,7 @@ def test_select_store_dir_rewrites_rw_store_engine_spec(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "engine", ["dm-mp:2:shm", "rw-store:2"]
+    "engine", ["dm-mp:2:pipe", "rw-store:2"]
 )
 def test_select_data_plane_engine_specs_run(capsys, engine):
     code = main(
@@ -248,7 +248,7 @@ def test_select_data_plane_engine_specs_run(capsys, engine):
 
 def test_malformed_data_plane_specs_rejected():
     parser = build_parser()
-    for bad in ("dm-mp:shm:2", "rw-store:mmap=", "dm-mp:mmap=/x"):
+    for bad in ("dm-mp:shm:2", "dm-mp:2:shm", "rw-store:mmap=", "dm-mp:mmap=/x"):
         with pytest.raises(SystemExit):
             parser.parse_args(
                 ["select", "--engine", bad, "--method", "dm", "-k", "1"]

@@ -17,10 +17,10 @@ from repro.core.engine import (
     ENGINE_NAMES,
     BatchedDMEngine,
     DMEngine,
+    EngineSpec,
     ObjectiveEngine,
     WalkEngine,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.engine_mp import MultiprocessDMEngine
@@ -152,18 +152,36 @@ def test_make_engine_specs():
     assert rw_store.adaptive
 
 
+def _parsed(spec):
+    parsed = EngineSpec.parse(spec)
+    return parsed.name, parsed.kwargs()
+
+
 def test_parse_engine_spec_and_exactness():
-    assert parse_engine_spec("dm-batched") == ("dm-batched", {})
-    assert parse_engine_spec("dm-mp") == ("dm-mp", {})
-    assert parse_engine_spec("dm-mp:4") == ("dm-mp", {"workers": 4})
+    assert _parsed("dm-batched") == ("dm-batched", {})
+    assert _parsed("dm-mp") == ("dm-mp", {})
+    assert _parsed("dm-mp:4") == ("dm-mp", {"workers": 4})
+    assert _parsed("dm-mp:3:pipe") == ("dm-mp", {"workers": 3})
     for spec in (None, "dm", "dm-batched", "dm-mp", "dm-mp:2"):
         assert spec_is_exact_dm(spec), spec
-    for spec in ("rw", "sketch", "dm-mp:0", "nope", 7):
+    for spec in ("rw", "sketch", "dm-mp:0", "dm-mp:2:shm", "nope", 7):
         assert not spec_is_exact_dm(spec), spec
 
 
 @pytest.mark.parametrize(
-    "bad", ["dm-mp:", "dm-mp:0", "dm-mp:-2", "dm-mp:two", "dm-mp:1:1", "rw:3"]
+    "bad",
+    [
+        "dm-mp:",
+        "dm-mp:0",
+        "dm-mp:-2",
+        "dm-mp:two",
+        "dm-mp:1:1",
+        "rw:3",
+        "dm-mp:shm",
+        "dm-mp:3:shm",
+        "dm-mp:shm:2",
+        "dm:shm",
+    ],
 )
 def test_make_engine_rejects_malformed_worker_specs(bad):
     """Malformed dm-mp:<workers> forms fail with the registry's single
@@ -546,16 +564,14 @@ def test_repin_mode_validated():
     score_name=st.sampled_from(sorted(SCORE_FACTORIES)),
     horizon=st.integers(0, 4),
     workers=st.sampled_from([1, 2, 4]),
-    transport=st.sampled_from(["pipe", "shm"]),
     data=st.data(),
 )
 def test_mp_engine_matches_batched_objectives(
-    seed, score_name, horizon, workers, transport, data
+    seed, score_name, horizon, workers, data
 ):
-    """dm-mp evaluation == dm-batched byte for byte — over both the pipe
-    and the shared-memory transport — and the probe accounting
-    (evaluate_calls / sets_evaluated) is identical for every worker
-    count: the parent counts probes, workers only evolve."""
+    """dm-mp evaluation == dm-batched byte for byte, and the probe
+    accounting (evaluate_calls / sets_evaluated) is identical for every
+    worker count: the parent counts probes, workers only evolve."""
     problem = make_problem(seed, score_name, horizon)
     n = problem.n
     num_sets = data.draw(st.integers(1, 6))
@@ -565,9 +581,7 @@ def test_mp_engine_matches_batched_objectives(
     ]
     batched = BatchedDMEngine(problem)
     expected = batched.evaluate(seed_sets)
-    with MultiprocessDMEngine(
-        problem, workers=workers, min_fanout=1, transport=transport
-    ) as engine:
+    with MultiprocessDMEngine(problem, workers=workers, min_fanout=1) as engine:
         # Chunked scoring can reorder float sums (numpy pairwise summation
         # depends on block width), so values carry the 1e-10 parity
         # contract, not bitwise equality.
@@ -708,78 +722,12 @@ def test_mp_worker_count_validated():
         MultiprocessDMEngine(problem, workers=-3)
 
 
-# ----------------------------------------------------------------------
-# Zero-copy shm transport (dm-mp:<W>:shm)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_mp_shm_selections_match_pipe_transport(workers):
-    """Greedy selections over the shm transport must be byte-identical to
-    the pipe transport (and to dm-batched) at workers 1/2/4, with the shm
-    rounds moving strictly fewer bytes through the pipes."""
-    problem = make_problem(3, "plurality", 4, n=14)
-    reference = greedy_engine(BatchedDMEngine(problem), 4, lazy=False)
-    results = {}
-    ipc = {}
-    for transport in ("pipe", "shm"):
-        with MultiprocessDMEngine(
-            problem, workers=workers, min_fanout=1, transport=transport
-        ) as engine:
-            results[transport] = greedy_engine(engine, 4, lazy=False)
-            ipc[transport] = engine.stats.ipc_bytes
-    for transport, result in results.items():
-        assert result.seeds.tolist() == reference.seeds.tolist(), transport
-        np.testing.assert_allclose(
-            result.gains, reference.gains, atol=1e-10, rtol=0
-        )
-    assert 0 < ipc["shm"] < ipc["pipe"]
-
-
-@pytest.mark.parametrize("start_method", ["fork", "forkserver"])
-def test_mp_shm_commit_broadcast_across_start_methods(start_method):
-    """Under shm the commit slab publishes the parent's trajectory; worker
-    sessions must stay byte-identical to dm-batched whether the problem
-    arrived by fork inheritance or was rebuilt from the mapped arrays."""
-    import multiprocessing as mp
-
-    if start_method not in mp.get_all_start_methods():
-        pytest.skip(f"start method {start_method!r} unavailable")
-    problem = make_problem(6, "plurality", 3, n=12, r=2)
-    reference = BatchedDMEngine(problem)
-    ref_session = reference.open_session()
-    with MultiprocessDMEngine(
-        problem,
-        workers=2,
-        start_method=start_method,
-        min_fanout=1,
-        transport="shm",
-    ) as engine:
-        assert len(engine.ping()) == 2
-        session = engine.open_session()
-        for commit in (5, 1, 8):
-            candidates = np.array(
-                sorted(set(range(problem.n)) - set(session.seeds))
-            )
-            np.testing.assert_allclose(
-                session.marginal_gains(candidates),
-                ref_session.marginal_gains(candidates),
-                atol=1e-10,
-                rtol=0,
-            )
-            session.commit(commit)
-            ref_session.commit(commit)
-        assert session.value == pytest.approx(ref_session.value, abs=1e-10)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_target_opinion_rows_fanned_out(transport):
-    """The dense rows fan-out must reproduce the batched engine's rows for
-    both transports (shm writes the blocks straight into reply slabs)."""
+def test_mp_target_opinion_rows_fanned_out():
+    """The dense rows fan-out must reproduce the batched engine's rows."""
     problem = make_problem(7, "cumulative", 4, n=13, r=2)
     sets = [(1,), (2, 5), (), (8,), (3, 4), (11,), (0,), (9, 10)]
     expected = BatchedDMEngine(problem).target_opinion_rows(sets)
-    with MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport=transport
-    ) as engine:
+    with MultiprocessDMEngine(problem, workers=2, min_fanout=1) as engine:
         np.testing.assert_allclose(
             engine.target_opinion_rows(sets), expected, atol=1e-10, rtol=0
         )
@@ -790,112 +738,53 @@ def test_mp_target_opinion_rows_fanned_out(transport):
         )
 
 
-def test_mp_shm_close_unlinks_segments_and_is_idempotent():
-    """close() must unlink every arena segment, never hang, and leave the
-    engine restartable; gc of an unclosed engine must also unlink."""
-    import gc
-
-    from repro.core.shm import attach_segment
-
-    problem = make_problem(1, "cumulative", 2, n=10, r=2)
-    sets = [(1,), (2,), (3,), (4,)]
-    expected = BatchedDMEngine(problem).evaluate(sets)
-    engine = MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport="shm"
-    )
-    np.testing.assert_allclose(engine.evaluate(sets), expected, atol=1e-10)
-    names = engine._arena.names
-    assert names
-    engine.close()
-    engine.close()  # idempotent
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            attach_segment(name)
-    # Restart after close, then leave cleanup to garbage collection.
-    np.testing.assert_allclose(engine.evaluate(sets), expected, atol=1e-10)
-    names = engine._arena.names
-    del engine
-    gc.collect()
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            attach_segment(name)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_close_robust_to_crashed_worker(transport):
+def test_mp_close_robust_to_crashed_worker():
     """Crash injection: a SIGKILLed worker re-shards in-flight and
-    respawns byte-identically (shm respawns re-attach the live arena),
-    and close() still returns promptly (no hang on the dead pipe),
-    unlinks the shm segments, and stays idempotent."""
+    respawns byte-identically, and close() still returns promptly (no
+    hang on the dead pipe) and stays idempotent."""
     import os
     import signal
     import time
 
-    from repro.core.shm import attach_segment
-
     problem = make_problem(2, "cumulative", 2, n=10, r=2)
     sets = [(1,), (2,), (3,), (4,)]
     expected = BatchedDMEngine(problem).evaluate(sets)
-    engine = MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport=transport
-    )
+    engine = MultiprocessDMEngine(problem, workers=2, min_fanout=1)
     try:
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        names = engine._arena.names if transport == "shm" else ()
         os.kill(engine._handles[0].process.pid, signal.SIGKILL)
         time.sleep(0.2)
         # The crashed round survives on the remaining worker, then the
-        # supervisor heals the pool (the shm respawn re-attaches the
-        # same segments — never a second arena).
+        # supervisor heals the pool.
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
         assert engine.stats.workers_lost == 1
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
         assert engine.stats.workers_respawned == 1
-        if transport == "shm":
-            assert engine._arena.names == names
         start = time.monotonic()
         engine.close()
         engine.close()
         assert time.monotonic() - start < 15.0
-        for name in names:  # close unlinked the arena exactly once
-            with pytest.raises(FileNotFoundError):
-                attach_segment(name)
-        # The pool restarts lazily with a fresh arena after the close.
+        # The pool restarts lazily after the close.
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
     finally:
         engine.close()
 
 
 def test_mp_transport_validated():
+    """The pipe is the only local data plane: the spec layer rejects any
+    other transport, and the engine has no transport knob at all."""
     problem = make_problem(0, "cumulative", 2)
-    with pytest.raises(ValueError, match="transport"):
-        MultiprocessDMEngine(problem, transport="carrier-pigeon")
-
-
-def test_parse_engine_spec_shm_suffix():
-    assert parse_engine_spec("dm-mp:shm") == ("dm-mp", {"transport": "shm"})
-    assert parse_engine_spec("dm-mp:3:shm") == (
-        "dm-mp",
-        {"workers": 3, "transport": "shm"},
-    )
-    assert spec_is_exact_dm("dm-mp:2:shm")
-    for bad in ("dm-mp:shm:2", "dm-mp:shm:shm", "rw-store:shm", "dm:shm"):
-        with pytest.raises(ValueError):
-            parse_engine_spec(bad)
-
-
-def test_make_engine_builds_shm_transport():
-    problem = make_problem(0, "cumulative", 2)
-    with make_engine("dm-mp:2:shm", problem) as engine:
-        assert isinstance(engine, MultiprocessDMEngine)
-        assert engine.workers == 2
-        assert engine.transport == "shm"
+    for bad in ("carrier-pigeon", "shm"):
+        with pytest.raises(ValueError, match="transport"):
+            EngineSpec(name="dm-mp", transport=bad)
+    with pytest.raises(TypeError):
+        MultiprocessDMEngine(problem, transport="pipe")
 
 
 # ----------------------------------------------------------------------
 # Serving seams: query_sets / coalesced_gains batch-stability
 # ----------------------------------------------------------------------
-SERVING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
+SERVING_SPECS = ("dm", "dm-batched", "dm-mp:2")
 
 
 @pytest.mark.parametrize("spec", SERVING_SPECS)
@@ -949,18 +838,18 @@ def test_coalesced_gains_batch_stable_bitwise(spec):
 
 def test_pool_stats_accounting():
     """pool_stats: zeros on the single-process engines, live rounds /
-    busy-time / shm segment names on the pool (the serving 'stats' op)."""
+    busy-time on the pool (the serving 'stats' op)."""
     problem = make_problem(4, "cumulative", 3)
     with make_engine("dm-batched", problem) as engine:
         stats = engine.pool_stats()
         assert stats["workers"] == 0 and stats["started"] is False
-    with make_engine("dm-mp:2:shm", problem, min_fanout=1) as engine:
+    with make_engine("dm-mp:2", problem, min_fanout=1) as engine:
         assert engine.pool_stats()["started"] is False
         engine.evaluate([(1,), (2,), (3,), (4,)])
         stats = engine.pool_stats()
         assert stats["started"] is True
-        assert stats["workers"] == 2 and stats["transport"] == "shm"
+        assert stats["workers"] == 2 and stats["transport"] == "pipe"
         assert stats["rounds"] >= 1 and stats["busy_s"] > 0
-        assert stats["shm_segments"]  # arena is mapped and named
-    # close() unlinked the arena: a fresh stats call shows none.
-    assert engine.pool_stats()["shm_segments"] == []
+    # close() stopped the pool; the cumulative round count survives.
+    stats = engine.pool_stats()
+    assert stats["started"] is False and stats["rounds"] >= 1

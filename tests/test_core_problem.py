@@ -110,46 +110,3 @@ def test_getstate_drops_seeded_trajectories_within_byte_budget(random_state):
         np.testing.assert_array_equal(
             clone.target_trajectory(seeds), problem.target_trajectory(seeds)
         )
-
-
-def test_share_arrays_round_trip_is_zero_copy(random_state):
-    """share_arrays/from_shared_arrays must rebuild an equivalent problem
-    whose heavy state *views* the supplied arrays (the shm contract)."""
-    problem = FJVoteProblem(
-        random_state,
-        0,
-        4,
-        PluralityScore(),
-        competitor_seeds={1: np.array([2, 3])},
-    )
-    problem.others_by_user()
-    problem.target_trajectory()
-    skeleton, arrays = problem.share_arrays()
-    clone = FJVoteProblem.from_shared_arrays(skeleton, arrays)
-    for seeds in ((), (1, 2), (4,)):
-        assert clone.objective(np.asarray(seeds, dtype=np.int64)) == problem.objective(
-            np.asarray(seeds, dtype=np.int64)
-        )
-    assert np.shares_memory(clone.state.initial_opinions, arrays["initial_opinions"])
-    assert np.shares_memory(clone.state.graph(0).csc.data, arrays["g0.csc.data"])
-    assert clone._base_trajectory is arrays["cache_base_trajectory"]
-    assert clone.state.candidates == problem.state.candidates
-    assert clone.competitor_seeds.keys() == problem.competitor_seeds.keys()
-
-
-def test_share_arrays_dedupes_shared_graphs():
-    """Candidates sharing one influence matrix must ship it once."""
-    state = random_instance(n=8, r=3, seed=3)
-    shared_graph_state = type(state)(
-        graphs=(state.graphs[0],) * 3,
-        initial_opinions=state.initial_opinions,
-        stubbornness=state.stubbornness,
-        candidates=state.candidates,
-    )
-    problem = FJVoteProblem(shared_graph_state, 0, 3, CumulativeScore())
-    skeleton, arrays = problem.share_arrays()
-    assert skeleton["graph_of_candidate"] == [0, 0, 0]
-    assert not any(key.startswith("g1.") for key in arrays)
-    clone = FJVoteProblem.from_shared_arrays(skeleton, arrays)
-    assert clone.state.graph(0) is clone.state.graph(2)
-    assert clone.objective(np.array([1])) == problem.objective(np.array([1]))

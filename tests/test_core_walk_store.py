@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.imm import imm
 from repro.core.engine import (
+    EngineSpec,
     EstimatorPrecisionWarning,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.greedy import greedy_engine
@@ -382,7 +382,7 @@ def test_malformed_rw_store_specs_rejected(bad):
     """Malformed rw-store:<shards> forms fail with the registry's single
     ValueError, naming every spec and both parameterized forms."""
     with pytest.raises(ValueError) as excinfo:
-        parse_engine_spec(bad)
+        EngineSpec.parse(bad)
     message = str(excinfo.value)
     assert "rw-store:<shards>" in message
     assert "dm-mp:<workers>" in message
@@ -560,10 +560,10 @@ def test_mmap_spec_and_store_dir_conflicts():
         make_engine("rw-store", problem, store=shared, store_dir="/tmp/x")
     for bad in ("rw-store:mmap=", "rw-store:2:mmap=", "rw-store:mmap"):
         with pytest.raises(ValueError):
-            parse_engine_spec(bad)
-    name, kwargs = parse_engine_spec("rw-store:2:mmap=/data/walks:v1")
-    assert name == "rw-store"
-    assert kwargs == {"shards": 2, "store_dir": "/data/walks:v1"}
+            EngineSpec.parse(bad)
+    spec = EngineSpec.parse("rw-store:2:mmap=/data/walks:v1")
+    assert spec.name == "rw-store"
+    assert spec.kwargs() == {"shards": 2, "store_dir": "/data/walks:v1"}
 
 
 def test_engine_close_only_closes_private_store():

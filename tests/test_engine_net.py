@@ -25,7 +25,6 @@ from repro.core.engine import (
     ENGINE_NAMES,
     EngineSpec,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.engine_net import FramedSocket, HostPool, run_net_worker
@@ -296,10 +295,7 @@ def test_engine_spec_parses_the_full_grammar():
         "transport": "tcp",
         "hosts": ("alpha:7001", "beta:7002"),
     }
-    assert EngineSpec.parse("dm-mp:3:shm").kwargs() == {
-        "workers": 3,
-        "transport": "shm",
-    }
+    assert EngineSpec.parse("dm-mp:3:pipe").kwargs() == {"workers": 3}
     # mmap paths keep their colons verbatim, to the end of the spec
     spec = EngineSpec.parse("rw-store:4:mmap=/tmp/a:b/c")
     assert spec.shards == 4 and spec.store_dir == "/tmp/a:b/c"
@@ -308,7 +304,7 @@ def test_engine_spec_parses_the_full_grammar():
 def test_engine_spec_canonical_drops_default_spellings():
     assert EngineSpec.parse("dm-mp:2:pipe").canonical() == "dm-mp:2"
     assert EngineSpec.parse("dm-mp:pipe").canonical() == "dm-mp"
-    assert str(EngineSpec.parse("dm-mp:2:shm")) == "dm-mp:2:shm"
+    assert str(EngineSpec.parse("dm-mp:2:pipe")) == "dm-mp:2"
     assert (
         EngineSpec.parse("dm-mp:tcp=a:1,b:2").canonical() == "dm-mp:tcp=a:1,b:2"
     )
@@ -326,6 +322,9 @@ def test_engine_spec_canonical_drops_default_spellings():
         "dm-mp:pipe:2",
         "rw-store:tcp=a:1",
         "dm:pipe",
+        "dm-mp:shm",
+        "dm-mp:2:shm",
+        "dm-mp:3:shm",
     ],
 )
 def test_engine_spec_rejects_malformed_tcp_forms(bad):
@@ -334,8 +333,7 @@ def test_engine_spec_rejects_malformed_tcp_forms(bad):
     # The single registry error names every engine, like the CLI tests pin.
     for name in ENGINE_NAMES:
         assert name in str(excinfo.value)
-    with pytest.raises(ValueError):
-        parse_engine_spec(bad)
+    assert not spec_is_exact_dm(bad)
 
 
 def test_engine_spec_constructor_validates_fields():
@@ -351,6 +349,8 @@ def test_engine_spec_constructor_validates_fields():
         EngineSpec(name="dm-mp", transport="tcp", hosts=("a:1",), workers=2)
     with pytest.raises(ValueError):
         EngineSpec(name="rw-store", transport="shm")
+    with pytest.raises(ValueError, match="transport"):
+        EngineSpec(name="dm-mp", transport="shm")
     # pipe normalizes to the default spelling
     assert EngineSpec(name="dm-mp", transport="pipe").transport is None
 
@@ -371,7 +371,7 @@ def test_engine_spec_with_store_dir():
 def test_engine_spec_parse_passthrough_and_exactness():
     spec = EngineSpec.parse("dm-mp:2")
     assert EngineSpec.parse(spec) is spec
-    assert parse_engine_spec(spec) == ("dm-mp", {"workers": 2})
+    assert (spec.name, spec.kwargs()) == ("dm-mp", {"workers": 2})
     assert spec_is_exact_dm(spec)
     assert spec_is_exact_dm("dm-mp:tcp=a:1")
     assert not spec_is_exact_dm(EngineSpec.parse("rw"))
@@ -400,12 +400,9 @@ def canonical_specs(draw):
     name = draw(st.sampled_from(ENGINE_NAMES))
     parts = [name]
     if name == "dm-mp":
-        form = draw(st.sampled_from(["plain", "workers", "shm", "tcp"]))
-        if form in ("workers", "shm"):
-            if draw(st.booleans()) or form == "workers":
-                parts.append(str(draw(st.integers(1, 64))))
-            if form == "shm":
-                parts.append("shm")
+        form = draw(st.sampled_from(["plain", "workers", "tcp"]))
+        if form == "workers":
+            parts.append(str(draw(st.integers(1, 64))))
         elif form == "tcp":
             hosts = draw(
                 st.lists(
@@ -442,10 +439,10 @@ def test_engine_spec_canonical_round_trips(spec):
     assert parsed.canonical() == spec
     # canonical() is a fixed point, and parse is total on its own output
     assert EngineSpec.parse(parsed.canonical()).canonical() == spec
-    # the legacy tuple front-end agrees with the structured form
-    name, kwargs = parse_engine_spec(spec)
-    assert name == parsed.name
-    assert kwargs == parsed.kwargs()
+    # re-parsing the canonical form yields the same name and kwargs
+    reparsed = EngineSpec.parse(parsed.canonical())
+    assert reparsed.name == parsed.name
+    assert reparsed.kwargs() == parsed.kwargs()
 
 
 # ----------------------------------------------------------------------

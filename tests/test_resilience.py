@@ -4,7 +4,7 @@ The central contract: a failure injected through :mod:`repro.core.faults`
 never changes *what* the system computes, only which counters tick while
 it recovers.  Selections, evaluations and walk-store bytes under a
 :class:`FaultPlan` must be identical to the fault-free run — worker
-SIGKILL mid-commit-broadcast (dm-mp over pipe and shm), severed tcp
+SIGKILL mid-commit-broadcast (dm-mp worker pools), severed tcp
 hosts that rejoin, corrupted store blocks that quarantine and repair —
 and the serve layer must degrade with *structured* errors (``overloaded``,
 ``deadline-exceeded``) instead of hangs or lost requests.
@@ -124,8 +124,7 @@ def test_injected_scopes_and_restores_the_active_plan():
 # ----------------------------------------------------------------------
 # dm-mp: planned worker SIGKILL, byte-identical recovery
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_planned_kill_selection_is_byte_identical(transport):
+def test_mp_planned_kill_selection_is_byte_identical():
     """A greedy selection with a planned mid-run worker SIGKILL matches
     the fault-free dm-batched selection exactly, and the recovery lands
     in the supervision counters."""
@@ -135,9 +134,7 @@ def test_mp_planned_kill_selection_is_byte_identical(transport):
         seed=5, faults=[FaultSpec("mp-kill-worker", when={"worker": 1, "round": 2})]
     )
     with faults.injected(plan):
-        with MultiprocessDMEngine(
-            problem, workers=2, min_fanout=1, transport=transport
-        ) as engine:
+        with MultiprocessDMEngine(problem, workers=2, min_fanout=1) as engine:
             result = greedy_engine(engine, 4, lazy=False)
             assert engine.stats.workers_lost == 1
             assert engine.stats.workers_respawned == 1

@@ -3,12 +3,12 @@
 The central contract: coalescing is *answer-preserving byte for byte*.
 A request's encoded response line must be identical whether it was
 answered alone or merged into a shared engine round — across backends
-(``dm``, ``dm-batched``, ``dm-mp`` over both transports), with deltas
-interleaved mid-stream, and over the real socket server.  On top of
-that: structured protocol errors (a malformed engine spec answers with
-the registry's own message instead of dropping the connection), the
-deterministic coalescing counters, and crash-safe shutdown (SIGTERM and
-SIGKILL both leave zero shm segments behind).
+(``dm``, ``dm-batched``, ``dm-mp``), with deltas interleaved
+mid-stream, and over the real socket server.  On top of that: structured
+protocol errors (a malformed engine spec answers with the registry's own
+message instead of dropping the connection), the deterministic
+coalescing counters, and crash-safe shutdown (after SIGTERM and SIGKILL
+alike, no pool worker outlives the server).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.core.engine import parse_engine_spec
+from repro.core.engine import EngineSpec
 from repro.core.problem import FJVoteProblem
 from repro.serve.batcher import CoalescingBatcher, EngineHub
 from repro.serve.protocol import (
@@ -43,8 +43,8 @@ from tests.conftest import random_instance
 SCORES = {"cumulative": CumulativeScore, "plurality": PluralityScore}
 
 #: One spec per coalescing code path: per-set fallback, vectorized
-#: extension rows, fan-out over both transports.
-COALESCING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
+#: extension rows, fan-out over the worker pool.
+COALESCING_SPECS = ("dm", "dm-batched", "dm-mp:2")
 
 
 def make_problem(seed=0, score="cumulative", horizon=4, *, n=13, r=3):
@@ -177,9 +177,9 @@ def test_coalesced_gains_independent_of_batch_composition():
     """The same request must get the same bytes whatever *else* happens
     to share its round (the batch-stability contract end to end)."""
     probe = make_request(9, "marginal_gain", seeds=[2], candidates=[4, 7])
-    alone, _ = run_coalesced("dm-mp:2:shm", [probe])
+    alone, _ = run_coalesced("dm-mp:2", [probe])
     crowded, _ = run_coalesced(
-        "dm-mp:2:shm",
+        "dm-mp:2",
         [
             make_request(0, "marginal_gain", seeds=[2], candidates=[1]),
             make_request(1, "marginal_gain", seeds=[2], candidates=[5, 6, 8]),
@@ -194,14 +194,14 @@ def test_coalesced_gains_independent_of_batch_composition():
 # Structured errors
 # ----------------------------------------------------------------------
 def test_bad_engine_spec_is_a_structured_error():
-    """A malformed spec answers with parse_engine_spec's own message as a
+    """A malformed spec answers with EngineSpec.parse's own message as a
     protocol error — not a dropped connection, not a server crash."""
     hub = EngineHub(make_problem(), ["dm-batched"])
     try:
         batcher = CoalescingBatcher(hub)
-        for bad_spec in ("dm-mp:0", "warp-drive", "rw-store:"):
+        for bad_spec in ("dm-mp:0", "warp-drive", "rw-store:", "dm-mp:2:shm"):
             with pytest.raises(ValueError) as registry_err:
-                parse_engine_spec(bad_spec)
+                EngineSpec.parse(bad_spec)
             (response,) = batcher.execute(
                 [make_request(0, "marginal_gain", seeds=[], candidates=[1],
                               engine=bad_spec)]
@@ -215,7 +215,7 @@ def test_bad_engine_spec_is_a_structured_error():
         )
         assert response["error"]["code"] == ERROR_ENGINE_NOT_LOADED
         assert "dm-batched" in response["error"]["message"]
-        assert batcher.stats.errors == 4
+        assert batcher.stats.errors == 5
     finally:
         hub.close()
 
@@ -234,6 +234,12 @@ def test_parameter_validation_errors():
             make_request(6, "apply_delta", edges_added=[[1, 2]]),
             make_request(7, "apply_delta", candidate=99),
             make_request(8, "prefix_win_probability", seeds=[1], engine=7),
+            make_request(9, "apply_delta", edges_added=[[0, 1, float("nan")]]),
+            make_request(10, "apply_delta", edges_added=[[0, 1, float("inf")]]),
+            make_request(11, "top_k_seeds", k=5, candidates=[1, 2]),
+            make_request(12, "top_k_seeds", k=1, candidates=[]),
+            # Duplicates do not enlarge the candidate pool.
+            make_request(13, "top_k_seeds", k=3, candidates=[4, 4, 5]),
         ]
         responses = batcher.execute(cases)
         for response in responses:
@@ -382,17 +388,30 @@ def test_server_rejects_unknown_op_and_keeps_serving():
 
 
 # ----------------------------------------------------------------------
-# Crash-safe shutdown: no leaked shm segments
+# Crash-safe shutdown: no pool worker outlives the server
 # ----------------------------------------------------------------------
+SHUTDOWN_SPEC = "dm-mp:2"
+
+#: Bound on the server's stdout reaching EOF after it stops; the pool
+#: workers' orphan watchdog polls once a second.
+EOF_TIMEOUT = 30.0
+
+
 def _spawn_cli_server(tmp_path=None, extra=()):
     argv = [
         sys.executable, "-m", "repro", "serve",
         "--dataset", "yelp", "--users", "60", "--horizon", "4",
-        "--score", "cumulative", "--engine", "dm-mp:2:shm", "--seed", "5",
+        "--score", "cumulative", "--engine", SHUTDOWN_SPEC, "--seed", "5",
         *extra,
     ]
+    # A session of its own, so _stop_all can reap the server's whole
+    # process group, workers included, whatever the test found.
     proc = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+        argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
     )
     port = None
     deadline = time.time() + 120
@@ -411,68 +430,72 @@ def _spawn_cli_server(tmp_path=None, extra=()):
     return proc, port
 
 
-def _live_shm_segments(port):
+def _assert_pool_started(port):
     from repro.serve.client import request_once
 
     stats = request_once("127.0.0.1", port, "stats")
     assert stats["ok"]
-    return stats["result"]["engines"]["dm-mp:2:shm"]["pool"]["shm_segments"]
+    pool = stats["result"]["engines"][SHUTDOWN_SPEC]["pool"]
+    assert pool["started"] is True and pool["workers"] == 2
 
 
-def _assert_segments_unlinked(names, timeout=20.0):
-    from repro.core.shm import attach_segment
+def _read_to_eof(stream, timeout=EOF_TIMEOUT):
+    """Drain ``stream`` to EOF within ``timeout`` seconds.
 
-    deadline = time.time() + timeout
-    remaining = list(names)
-    while remaining and time.time() < deadline:
-        still = []
-        for name in remaining:
-            try:
-                segment = attach_segment(name)
-            except FileNotFoundError:
-                continue
-            segment.close()
-            still.append(name)
-        remaining = still
-        if remaining:
-            time.sleep(0.25)
-    assert not remaining, f"leaked shm segments: {remaining}"
+    The pool workers are forked from the server and inherit its stdout,
+    so the pipe reaches EOF only once the server *and* every worker have
+    exited.
+    """
+    import threading
+
+    chunks: list[str] = []
+    reader = threading.Thread(
+        target=lambda: chunks.append(stream.read()), daemon=True
+    )
+    reader.start()
+    reader.join(timeout)
+    assert not reader.is_alive(), (
+        f"server stdout still open {timeout}s after shutdown: "
+        "a pool worker outlived the server"
+    )
+    return "".join(chunks)
 
 
-def test_sigterm_shutdown_unlinks_shm_segments():
+def _stop_all(proc):
+    """Kill whatever is left of the server's process group, then close."""
+    import os
+
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # every process of the group already exited
+    proc.wait(timeout=30)
+    proc.stdout.close()
+
+
+def test_sigterm_shutdown_stops_pool_workers():
     """The signal-routed shutdown path: SIGTERM stops the pool through
-    stop_worker_pool and unlinks every arena segment."""
+    stop_worker_pool, so every worker exits with the server."""
     proc, port = _spawn_cli_server()
     try:
-        names = _live_shm_segments(port)
-        assert names  # the pool is warm, its arena is mapped
+        _assert_pool_started(port)
         proc.send_signal(signal.SIGTERM)
-        out, _ = proc.communicate(timeout=60)
-        assert proc.returncode == 0, out
+        out = _read_to_eof(proc.stdout)
+        assert proc.wait(timeout=30) == 0, out
         assert "serve:" in out  # final counters line still printed
-        _assert_segments_unlinked(names)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate(timeout=30)
+        _stop_all(proc)
 
 
-def test_sigkill_crash_unlinks_shm_segments():
+def test_sigkill_crash_stops_pool_workers():
     """Crash injection: SIGKILL the whole server mid-flight.  Nothing in
-    the process gets to run, so cleanup falls to the resource tracker —
-    segments must still disappear (bounded poll), mirroring the engine
-    crash tests."""
+    the server gets to run, so its workers must notice the orphaning
+    themselves (the ``os.getppid`` watchdog) and exit within the bound."""
     proc, port = _spawn_cli_server()
     try:
-        names = _live_shm_segments(port)
-        assert names
+        _assert_pool_started(port)
         proc.send_signal(signal.SIGKILL)
-        # wait(), not communicate(): the worker children inherited the
-        # stdout pipe, so it only reaches EOF once *they* exit too.
         proc.wait(timeout=60)
-        proc.stdout.close()
-        _assert_segments_unlinked(names)
+        _read_to_eof(proc.stdout)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+        _stop_all(proc)
